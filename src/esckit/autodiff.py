@@ -27,6 +27,11 @@ class GraphError(ValueError):
 
 
 def _wrap(data, dtype=None):
+    if dtype is None and type(data) in (int, float):
+        # Under NEP 50 (NumPy >= 2) a 0-d float64 array is not a weak scalar and
+        # would promote every float32 operand it meets. np.float64 subclasses
+        # float but fails the exact type test, so float64 graphs stay float64.
+        return np.asarray(data, dtype=np.float32)
     arr = np.asarray(data)
     if dtype is not None:
         return arr.astype(dtype, copy=False)
@@ -447,19 +452,33 @@ def _conv_geometry(size, k, s, padding):
     raise ValueError(f"unknown padding {padding!r}")
 
 
-def _gather_patches(xp, of, ot, kf, kt, sf, st):
-    n, _, _, c = xp.shape
-    cols = np.empty((n, of, ot, kf, kt, c), dtype=xp.dtype)
-    for a in range(kf):
-        for b in range(kt):
-            cols[:, :, :, a, b, :] = xp[:, a:a + of * sf:sf, b:b + ot * st:st, :]
-    return cols
+# Rows of the flattened padded input a tap loop works on at a time: the rows
+# and the matching output rows stay in cache across the kernel taps.
+_BLOCK_BYTES = 1 << 20
+
+
+def _tap_blocks(rows, block, taps):
+    """Slices pairing output rows with input rows of the flattened padded grid.
+
+    Output row p (grid position (n, i, j)) reads input row p + a*Tp + b through
+    tap (a, b). Yields (output rows, input rows, a, b) for every tap of every
+    block of ``block`` output rows below ``rows``.
+    """
+    for start in range(0, rows, block):
+        stop = min(start + block, rows)
+        for a, b, offset in taps:
+            yield slice(start, stop), slice(start + offset, stop + offset), a, b
 
 
 def conv2d(x, kernel, bias=None, stride=(1, 1), padding="same"):
     """2-D correlation over channel-last maps.
 
     x: (F, T, Cin) or (N, F, T, Cin); kernel: (kf, kt, Cin, Cout); bias: (Cout,).
+
+    Computed as one GEMM per kernel tap on the flattened padded input, with no
+    patch (im2col) buffer: the output is evaluated at every padded-grid
+    position and the strided positions are kept. Backward re-reads the padded
+    input, and the kernel gradient is a sum of per-tap GEMMs.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     squeeze = x.ndim == 3
@@ -477,34 +496,45 @@ def conv2d(x, kernel, bias=None, stride=(1, 1), padding="same"):
     ot, pt0, pt1 = _conv_geometry(t, kt, st, padding)
     if of < 1 or ot < 1:
         raise ShapeError(f"conv2d: kernel ({kf},{kt}) larger than padded input ({f},{t})")
+    bias = as_tensor(bias) if bias is not None else None
+    if bias is not None and bias.shape != (cout,):
+        raise ShapeError(f"conv2d: bias shape {bias.shape} != ({cout},)")
 
     xp = np.pad(xd, ((0, 0), (pf0, pf1), (pt0, pt1), (0, 0)))
-    cols = _gather_patches(xp, of, ot, kf, kt, sf, st)
-    w2 = kernel.data.reshape(kf * kt * cin, cout)
-    y = cols.reshape(n, of, ot, kf * kt * cin) @ w2
-    bias = as_tensor(bias) if bias is not None else None
-    if bias is not None:
-        if bias.shape != (cout,):
-            raise ShapeError(f"conv2d: bias shape {bias.shape} != ({cout},)")
-        y = y + bias.data
+    _, fp, tp, _ = xp.shape
+    rows = n * fp * tp - (kf - 1) * tp - (kt - 1)  # every output position lies below
+    taps = [(a, b, a * tp + b) for a in range(kf) for b in range(kt)]
+    block = max(1, _BLOCK_BYTES // ((cin + cout) * xp.itemsize))
+    w = kernel.data
+    xrows = xp.reshape(-1, cin)
+    grid = np.zeros((n, fp, tp, cout), dtype=np.result_type(xp, w))
+    grows = grid.reshape(-1, cout)
+    for out_rows, in_rows, a, b in _tap_blocks(rows, block, taps):
+        grows[out_rows] += xrows[in_rows] @ w[a, b]
+    y = grid[:, :of * sf:sf, :ot * st:st, :]
+    y = y + bias.data if bias is not None else np.ascontiguousarray(y)
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
     out = _node(y[0] if squeeze else y, inputs, "conv2d")
 
     if out.requires_grad:
         def backward(g):
             gb = g[None] if squeeze else g
-            g2 = gb.reshape(n * of * ot, cout)
             if bias is not None and bias.requires_grad:
-                bias._accumulate(g2.sum(axis=0))
+                bias._accumulate(np.einsum("ij->j", gb.reshape(-1, cout)))
+            ggrid = np.zeros((n, fp, tp, cout), dtype=gb.dtype)
+            ggrid[:, :of * sf:sf, :ot * st:st, :] = gb
+            grid_rows = ggrid.reshape(-1, cout)
+            gw, gxp = np.zeros_like(w), np.zeros_like(xp)
+            gx_rows = gxp.reshape(-1, cin)
+            for out_rows, in_rows, a, b in _tap_blocks(rows, block, taps):
+                gout = grid_rows[out_rows]
+                if kernel.requires_grad:
+                    gw[a, b] += xrows[in_rows].T @ gout
+                if x.requires_grad:
+                    gx_rows[in_rows] += gout @ w[a, b].T
             if kernel.requires_grad:
-                gw = cols.reshape(n * of * ot, kf * kt * cin).T @ g2
-                kernel._accumulate(gw.reshape(kf, kt, cin, cout))
+                kernel._accumulate(gw)
             if x.requires_grad:
-                gcols = (g2 @ w2.T).reshape(n, of, ot, kf, kt, cin)
-                gxp = np.zeros_like(xp)
-                for a in range(kf):
-                    for b in range(kt):
-                        gxp[:, a:a + of * sf:sf, b:b + ot * st:st, :] += gcols[:, :, :, a, b, :]
                 gx = gxp[:, pf0:pf0 + f, pt0:pt0 + t, :]
                 x._accumulate(gx[0] if squeeze else gx)
         out._backward = backward
@@ -583,29 +613,56 @@ def batchnorm(x, state, mode):
 
     Train mode uses batch statistics (differentiable through them) and folds
     the batch mean/variance into the running statistics; infer mode uses the
-    running statistics as constants.
+    running statistics as constants. Either mode is one graph node whose
+    backward is the closed form of Ioffe & Szegedy (2015) and keeps only the
+    normalized input x_hat and 1/sigma.
     """
     x = as_tensor(x)
-    if x.shape[-1] != state.gamma.shape[0]:
-        raise ShapeError(f"batchnorm: channels {x.shape[-1]} != state channels {state.gamma.shape[0]}")
-    axes = tuple(range(x.ndim - 1))
+    gamma, beta = state.gamma, state.beta
+    c = x.shape[-1]
+    if c != gamma.shape[0]:
+        raise ShapeError(f"batchnorm: channels {c} != state channels {gamma.shape[0]}")
+    x2 = x.data.reshape(-1, c)
+    m = x2.shape[0]
     if mode == "train":
-        mu = tensor_mean(x, axis=axes, keepdims=True)
-        centered = x - mu
-        var = tensor_mean(mul(centered, centered), axis=axes, keepdims=True)
-        inv = powf(add(var, state.epsilon), -0.5)
-        xhat = mul(centered, inv)
-        m = state.momentum
-        state.running_mean = (m * state.running_mean
-                              + (1.0 - m) * mu.data.reshape(-1).astype(state.running_mean.dtype))
-        state.running_var = (m * state.running_var
-                             + (1.0 - m) * var.data.reshape(-1).astype(state.running_var.dtype))
+        mu = np.einsum("ij->j", x2) / m
+        xhat = x2 - mu
+        var = np.einsum("ij,ij->j", xhat, xhat) / m
+        k = state.momentum
+        state.running_mean = (k * state.running_mean
+                              + (1.0 - k) * mu.astype(state.running_mean.dtype))
+        state.running_var = (k * state.running_var
+                             + (1.0 - k) * var.astype(state.running_var.dtype))
     elif mode == "infer":
-        scale = 1.0 / np.sqrt(state.running_var.astype(x.dtype) + state.epsilon)
-        xhat = mul(x - Tensor(state.running_mean, dtype=x.dtype), Tensor(scale, dtype=x.dtype))
+        xhat = x2 - state.running_mean.astype(x.dtype)
+        var = state.running_var.astype(x.dtype)
     else:
         raise ValueError(f"unknown batchnorm mode {mode!r}")
-    return add(mul(xhat, state.gamma), state.beta)
+    inv = 1.0 / np.sqrt(var + state.epsilon)
+    xhat *= inv
+    out = _node((xhat * gamma.data + beta.data).reshape(x.shape), (x, gamma, beta), "batchnorm")
+
+    if out.requires_grad:
+        def backward(g):
+            g2 = g.reshape(-1, c)
+            gsum = np.einsum("ij->j", g2)
+            gdot = np.einsum("ij,ij->j", g2, xhat)
+            if gamma.requires_grad:
+                gamma._accumulate(gdot)
+            if beta.requires_grad:
+                beta._accumulate(gsum)
+            if x.requires_grad:
+                scale = gamma.data * inv
+                if mode == "train":
+                    gx = xhat * (-gdot / m)
+                    gx += g2
+                    gx -= gsum / m
+                    gx *= scale
+                else:
+                    gx = g2 * scale
+                x._accumulate(gx.reshape(x.shape))
+        out._backward = backward
+    return out
 
 
 # -- recurrent ----------------------------------------------------------------

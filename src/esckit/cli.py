@@ -12,19 +12,18 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
-from .cachefile import CacheFormatError, read_cache_dataset
+from .cachefile import CACHE_VERSIONS, CacheFormatError, read_cache_dataset
 from .config import ConfigError, RunConfig, dump_config, load_config
 from .dataset import AudioDecodeError, MetadataError, build_cache, load_metadata
 from .evaluate import EvalReport, ablate, ablation_to_csv, confusion_matrix, cross_validate, \
     evaluate_fold
 from .fdcheck import MODEL_TOLERANCE, OP_TOLERANCE, model_gradient_checks, op_gradient_checks
 from .features import compute_norm_stats
-from .model import CheckpointFormatError, build, load_state, read_checkpoint
+from .model import CHECKPOINT_VERSION, CheckpointFormatError, build, load_state, read_checkpoint
 from .train import train
-
-CACHE_FORMAT_VERSION = 2
-CHECKPOINT_FORMAT_VERSION = 1
 
 
 class _UsageError(Exception):
@@ -101,14 +100,30 @@ def _load_run_config(args):
     return config
 
 
+def _blas():
+    """(name, version) of the BLAS numpy was built with; "unknown" where this
+    numpy cannot report it (``show_config(mode=...)`` is numpy >= 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return blas.get("name", "unknown"), blas.get("version", "unknown")
+    except (TypeError, KeyError, AttributeError):
+        return "unknown", "unknown"
+
+
 def _write_manifest(path, config, command):
+    """The run's config plus what reproducing it bitwise depends on: the
+    format versions and the numpy and BLAS builds."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    blas_name, blas_version = _blas()
     with open(path, "w") as fh:
         fh.write(dump_config(config))
         fh.write(f"manifest.command = {command}\n")
         fh.write(f"manifest.package_version = {__version__}\n")
-        fh.write(f"manifest.cache_format_version = {CACHE_FORMAT_VERSION}\n")
-        fh.write(f"manifest.checkpoint_format_version = {CHECKPOINT_FORMAT_VERSION}\n")
+        fh.write(f"manifest.cache_format_version = {CACHE_VERSIONS[-1]}\n")
+        fh.write(f"manifest.checkpoint_format_version = {CHECKPOINT_VERSION}\n")
+        fh.write(f"manifest.numpy_version = {np.__version__}\n")
+        fh.write(f"manifest.blas_name = {blas_name}\n")
+        fh.write(f"manifest.blas_version = {blas_version}\n")
 
 
 def _dataset(config):

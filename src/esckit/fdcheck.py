@@ -125,6 +125,11 @@ def op_gradient_checks(seed=0):
         lambda x, k, b: ad.tensor_sum(ad.mul(ad.conv2d(x, k, b, (2, 1), "valid"), pv)),
         rng.standard_normal((2, 6, 6, 2)), rng.standard_normal((3, 3, 2, 3)) * 0.5,
         rng.standard_normal(3))
+    pt = _projector((2, 5, 3, 3), rng)
+    run("conv2d_same_time_strided",
+        lambda x, k, b: ad.tensor_sum(ad.mul(ad.conv2d(x, k, b, (1, 2), "same"), pt)),
+        rng.standard_normal((2, 5, 6, 2)), rng.standard_normal((2, 4, 2, 3)) * 0.5,
+        rng.standard_normal(3))
 
     pp = _projector((2, 2, 3, 2), rng)
     run("maxpool2d", lambda x: ad.tensor_sum(ad.mul(ad.maxpool2d(x, (2, 2)), pp)),
@@ -139,6 +144,14 @@ def op_gradient_checks(seed=0):
                                running_mean=np.zeros(4), running_var=np.ones(4))
         return ad.tensor_sum(ad.mul(ad.batchnorm(x, state, "train"), pb))
     run("batchnorm", bn_builder,
+        rng.standard_normal((6, 3, 4)), 1.0 + 0.1 * rng.standard_normal(4),
+        0.1 * rng.standard_normal(4))
+    running_mean, running_var = 0.3 * rng.standard_normal(4), 0.5 + rng.uniform(size=4)
+    def bn_infer_builder(x, gamma, beta):
+        state = BatchNormState(gamma=gamma, beta=beta,
+                               running_mean=running_mean, running_var=running_var)
+        return ad.tensor_sum(ad.mul(ad.batchnorm(x, state, "infer"), pb))
+    run("batchnorm_infer", bn_infer_builder,
         rng.standard_normal((6, 3, 4)), 1.0 + 0.1 * rng.standard_normal(4),
         0.1 * rng.standard_normal(4))
 

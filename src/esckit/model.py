@@ -64,20 +64,6 @@ class ACRNNConfig:
             t //= POOLS[i][1]
         return f, t
 
-    def reduced(self, num_classes=2, scale=8, input_size=None):
-        """A narrow copy for desk-scale checks: channels and GRU width / scale."""
-        return ACRNNConfig(
-            num_classes=num_classes,
-            attention_placement=self.attention_placement,
-            conv_channels=tuple(max(1, c // scale) for c in self.conv_channels),
-            gru_hidden=max(1, self.gru_hidden // scale),
-            dropout_p=self.dropout_p,
-            l2_coeff=self.l2_coeff,
-            input_bands=input_size or self.input_bands,
-            input_frames=input_size or self.input_frames,
-            rnn_attention_form=self.rnn_attention_form,
-        )
-
 
 @dataclass
 class ModelParams:

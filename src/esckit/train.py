@@ -98,11 +98,6 @@ def lr_schedule(epoch, config):
     return config.lr0 / config.lr_decay_factor ** (epoch // config.lr_decay_every)
 
 
-def init_weights(params, std=0.05, seed=0):
-    """Weights ~ N(0, std^2), biases 0, batch-norm state reset, in place."""
-    acrnn.randomize_weights(params, std=std, seed=seed)
-
-
 def sgd_nesterov_step(params, state, lr, momentum=0.9, l2_coeff=1e-4):
     """One lookahead-applied Nesterov update.
 
@@ -126,6 +121,20 @@ def sgd_nesterov_step(params, state, lr, momentum=0.9, l2_coeff=1e-4):
 def _zero_grads(params):
     for tensor in params.tensors.values():
         tensor.grad = None
+
+
+def mix_batch(xb, yb, alpha, rng):
+    """Mixup each row of a batch in place with a random partner row.
+
+    Draws every partner index first, then one Beta(alpha, alpha) weight per
+    row. Partners are read from a copy of the un-mixed batch, so a row is
+    never mixed with a row that was already mixed.
+    """
+    partners = rng.integers(0, len(xb), size=len(xb))
+    x0, y0 = xb.copy(), yb.copy()
+    for row, j in enumerate(partners):
+        xb[row], yb[row] = mixup_arrays(x0[row], y0[row], x0[j], y0[j],
+                                        sample_lambda(alpha, rng))
 
 
 def epoch_batches(n, batch_size, rng):
@@ -188,11 +197,7 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
             xb = np.stack([apply_norm(s, stats).values for s in batch_segments])
             yb = one_hot(labels[idx], k)
             if mixup_on:
-                partners = rng_mixup.integers(0, len(idx), size=len(idx))
-                for row, j in enumerate(partners):
-                    xb[row], yb[row] = mixup_arrays(
-                        xb[row], yb[row], xb[j].copy(), yb[j].copy(),
-                        sample_lambda(alpha, rng_mixup))
+                mix_batch(xb, yb, alpha, rng_mixup)
             probs = acrnn.forward(params, xb, mode="train", rng=rng_dropout)
             loss = ad.cross_entropy(probs, ad.Tensor(yb))
             _zero_grads(params)

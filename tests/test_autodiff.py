@@ -58,6 +58,65 @@ class TestConv2d:
             assert np.allclose(batched[i], single, atol=1e-6)
 
 
+def _same_pads(size, k, s):
+    out = -(-size // s)
+    total = max((out - 1) * s + k - size, 0)
+    return out, total // 2, total - total // 2
+
+
+def conv2d_reference(x, k, b, stride, padding, proj):
+    """Direct per-position loop: out[n, i, j] = b + sum over taps (a, c) of
+    xp[n, i*sf + a, j*st + c] @ k[a, c], with the gradients of sum(out * proj)."""
+    n, f, t, _ = x.shape
+    kf, kt, _, _ = k.shape
+    sf, st = stride
+    if padding == "same":
+        of, pf0, pf1 = _same_pads(f, kf, sf)
+        ot, pt0, pt1 = _same_pads(t, kt, st)
+    else:
+        of, ot, pf0, pf1, pt0, pt1 = (f - kf) // sf + 1, (t - kt) // st + 1, 0, 0, 0, 0
+    xp = np.pad(x, ((0, 0), (pf0, pf1), (pt0, pt1), (0, 0)))
+    out = np.zeros((n, of, ot, k.shape[3]), dtype=x.dtype)
+    gxp, gk = np.zeros_like(xp), np.zeros_like(k)
+    for q in range(n):
+        for i in range(of):
+            for j in range(ot):
+                patch = xp[q, i * sf:i * sf + kf, j * st:j * st + kt, :]
+                out[q, i, j] = np.einsum("abc,abco->o", patch, k) + b
+                gk += patch[:, :, :, None] * proj[q, i, j]
+                gxp[q, i * sf:i * sf + kf, j * st:j * st + kt, :] += k @ proj[q, i, j]
+    gx = gxp[:, pf0:pf0 + f, pt0:pt0 + t, :]
+    return out, gx, gk, proj.sum(axis=(0, 1, 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("kernel_size, stride, padding", [
+    ((2, 4), (1, 1), "same"),    # even kernel: one more pad row/column after than before
+    ((3, 3), (1, 1), "valid"),
+    ((3, 2), (2, 1), "same"),
+    ((2, 3), (1, 2), "valid"),
+    ((3, 3), (1, 2), "same"),
+])
+def test_conv2d_matches_per_position_reference(kernel_size, stride, padding, batched, dtype):
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((2, 7, 9, 3)).astype(dtype)
+    k = rng.standard_normal(kernel_size + (3, 4)).astype(dtype)
+    b = rng.standard_normal(4).astype(dtype)
+    xs = x if batched else x[:1]
+    xt, kt, bt = (Tensor(a, requires_grad=True) for a in (xs if batched else xs[0], k, b))
+    out = ad.conv2d(xt, kt, bt, stride, padding)
+    proj = rng.standard_normal((xs.shape[0],) + out.shape[-3:]).astype(dtype)
+    ad.tensor_sum(ad.mul(out, Tensor(proj if batched else proj[0]))).backward()
+    ref_out, ref_gx, ref_gk, ref_gb = conv2d_reference(xs, k, b, stride, padding, proj)
+    tol = dict(rtol=1e-4, atol=1e-4) if dtype == np.float32 else dict(rtol=1e-10, atol=1e-10)
+    assert out.dtype == dtype and xt.grad.dtype == dtype and kt.grad.dtype == dtype
+    assert np.allclose(out.data, ref_out if batched else ref_out[0], **tol)
+    assert np.allclose(xt.grad, ref_gx if batched else ref_gx[0], **tol)
+    assert np.allclose(kt.grad, ref_gk, **tol)
+    assert np.allclose(bt.grad, ref_gb, **tol)
+
+
 class TestMaxpool2d:
     def test_hand_blocks(self):
         x = t(np.arange(1.0, 17.0).reshape(4, 4, 1))
@@ -324,6 +383,15 @@ class TestBackward:
         assert all(c == 1 for c in counts.values())
         # d/da [ (ab)^2 + ab ] = 2ab*b + b = 39
         assert a.grad[0] == pytest.approx(39.0)
+
+
+def test_python_scalars_keep_the_tensor_dtype():
+    for dtype in (np.float32, np.float64):
+        x = Tensor(np.array([0.5, -2.0], dtype=dtype), requires_grad=True)
+        for out in (x - 1.0, -x, 1.0 - x, x * 2, 3 + x):
+            assert out.dtype == dtype, (dtype, out._op)
+        ad.tensor_sum(1.0 - x).backward()
+        assert x.grad.dtype == dtype
 
 
 def test_all_op_gradients_match_finite_differences():

@@ -3,8 +3,9 @@ import pytest
 
 from esckit import cli
 from esckit import config as cfg
-from esckit.cachefile import read_cache
+from esckit.cachefile import CACHE_VERSIONS, read_cache
 from esckit.features import SAMPLE_RATE
+from esckit.model import CHECKPOINT_VERSION
 from test_dataset import meta_csv, write_wav
 
 
@@ -148,6 +149,12 @@ class TestCli:
         assert cli.main(["extract", "--config", str(config_path)]) == 0
         first = cache.read_bytes()
         manifest = cache.with_name("cache.lgt.manifest")
+        text = manifest.read_text()
+        for line in (f"manifest.numpy_version = {np.__version__}",
+                     f"manifest.cache_format_version = {CACHE_VERSIONS[-1]}",
+                     f"manifest.checkpoint_format_version = {CHECKPOINT_VERSION}"):
+            assert line in text.splitlines()
+        assert "manifest.blas_name = " in text and "manifest.blas_version = " in text
         cache.unlink()
         assert cli.main(["extract", "--config", str(manifest)]) == 0
         assert cache.read_bytes() == first

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import make_segment_dataset, tiny_model_config
+from esckit import autodiff as ad
 from esckit import model as acrnn
 from esckit import train as tr
-from esckit.augment import AugmentConfig
+from esckit.augment import AugmentConfig, sample_lambda
 from esckit.autodiff import Tensor
+from esckit.data import one_hot
 
 
 def quick_config(**kw):
@@ -89,7 +91,7 @@ class TestSgdNesterovStep:
 class TestInitWeights:
     def test_gaussian_statistics(self):
         params = acrnn.build(acrnn.ACRNNConfig(num_classes=50), seed=0)
-        tr.init_weights(params, std=0.05, seed=123)
+        acrnn.randomize_weights(params, std=0.05, seed=123)
         w = params.tensors["gru1.fw.w_x"].data  # 1024 x 768 entries
         assert w.size >= 10_000
         assert abs(w.mean()) < 0.002
@@ -97,10 +99,40 @@ class TestInitWeights:
 
     def test_biases_exactly_zero(self):
         params = acrnn.build(tiny_model_config(), seed=0)
-        tr.init_weights(params, seed=9)
+        acrnn.randomize_weights(params, seed=9)
         for name, tensor in params.tensors.items():
             if name.endswith(".bias") or name.endswith(".b") or name.endswith(".b1"):
                 assert np.all(tensor.data == 0.0), name
+
+
+def test_float32_train_step_has_no_float64_node_or_gradient():
+    params = acrnn.build(tiny_model_config(), seed=0)
+    x = np.random.default_rng(0).standard_normal((4, 32, 32, 2)).astype(np.float32)
+    probs = acrnn.forward(params, x, mode="train", rng=np.random.default_rng(1))
+    loss = ad.cross_entropy(probs, Tensor(one_hot([0, 1, 1, 0], 2)))
+    loss.backward()
+    nodes = loss._topo_order()
+    assert len(nodes) > 100
+    assert [n._op for n in nodes if n.dtype != np.float32] == []
+    assert [n._op for n in nodes if n.grad is not None and n.grad.dtype != np.float32] == []
+    assert all(t.grad.dtype == np.float32 for t in params.tensors.values())
+
+
+def test_mix_batch_draws_partners_from_the_unmixed_batch():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((8, 3, 2, 2)).astype(np.float32)
+    y = one_hot(np.arange(8) % 3, 3)
+    xb, yb = x.copy(), y.copy()
+    tr.mix_batch(xb, yb, 0.2, np.random.default_rng(5))
+    replay = np.random.default_rng(5)  # same draw order: partners, then one lambda per row
+    partners = replay.integers(0, 8, size=8)
+    lams = [sample_lambda(0.2, replay) for _ in range(8)]
+    # the draw must pair some row with a row mixed before it, or the test shows nothing
+    assert any(j < row and 0.0 < lams[j] < 1.0 for row, j in enumerate(partners))
+    for row, (j, lam) in enumerate(zip(partners, lams)):
+        lam32 = np.float32(lam)
+        assert np.allclose(xb[row], lam32 * x[row] + (1 - lam32) * x[j], rtol=1e-6, atol=1e-6)
+        assert np.allclose(yb[row], lam * y[row] + (1 - lam) * y[j], atol=1e-6)
 
 
 class TestEpochBatches:
