@@ -10,11 +10,13 @@ __version__ = "0.1.0"
 from .augment import AugmentConfig, mixup, pitch_shift, sample_lambda, time_stretch
 from .autodiff import BatchNormState, ShapeError, Tensor
 from .data import SegmentDataset
-from .evaluate import EvalReport, ablate, confusion_matrix, cross_validate, predict_clip
+from .evaluate import (
+    EvalReport, ablate, confusion_matrix, cross_validate, predict_clip, predict_clips,
+)
 from .features import (
     GammatoneFilterbank, LogGTSegment, NormStats, WaveClip, apply_norm,
     build_gammatone_filterbank, compute_norm_stats, delta, extract_segments, log_gt,
-    segment, stft_power,
+    normalize, segment, stft_power,
 )
 from .model import ACRNNConfig, ModelParams, build, forward, shape_trace
 # the train() entry point stays at esckit.train.train so the function name
@@ -27,6 +29,6 @@ __all__ = [
     "TrainConfig", "TrainHistory", "WaveClip", "ablate", "apply_norm",
     "build", "build_gammatone_filterbank", "compute_norm_stats", "confusion_matrix",
     "cross_validate", "delta", "extract_segments", "forward", "log_gt", "lr_schedule",
-    "mixup", "pitch_shift", "predict_clip", "sample_lambda", "segment", "sgd_nesterov_step",
-    "shape_trace", "stft_power", "time_stretch",
+    "mixup", "normalize", "pitch_shift", "predict_clip", "predict_clips", "sample_lambda",
+    "segment", "sgd_nesterov_step", "shape_trace", "stft_power", "time_stretch",
 ]

@@ -8,12 +8,14 @@ gradients into every leaf tensor with ``requires_grad=True``.
 Only the operations the network needs are provided: elementwise arithmetic,
 matmul, reshape/transpose/slicing/concat, reductions, activations, softmax,
 2-D convolution and max pooling on channel-last maps, batch normalization,
-dropout, a bidirectional GRU, and cross-entropy on probabilities.
+dropout, a bidirectional GRU, and cross-entropy on probabilities. Batch
+normalization and each GRU direction are single graph nodes with closed-form
+backward passes, so a step's graph does not grow with the sequence length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -354,12 +356,6 @@ def concat(tensors, axis):
     return out
 
 
-def stack(tensors, axis):
-    """Stack equal-shape tensors along a new axis (via reshape + concat)."""
-    expanded = [reshape(t, t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors]
-    return concat(expanded, axis)
-
-
 # -- reductions ---------------------------------------------------------------
 
 def _expand_reduced(g, in_shape, axis, keepdims):
@@ -616,47 +612,59 @@ def batchnorm(x, state, mode):
     running statistics as constants. Either mode is one graph node whose
     backward is the closed form of Ioffe & Szegedy (2015) and keeps only the
     normalized input x_hat and 1/sigma.
+
+    The work runs on a (rows, T*C) view, T being the axis before the channels
+    (1 for 2-D input): per-channel vectors are tiled T times, and a channel
+    reduction sums the rows into T*C lanes, then folds the T lane groups.
+    Each numpy inner loop is T*C long instead of C, and each float32 row sum
+    runs over T times fewer terms.
     """
     x = as_tensor(x)
     gamma, beta = state.gamma, state.beta
     c = x.shape[-1]
     if c != gamma.shape[0]:
         raise ShapeError(f"batchnorm: channels {c} != state channels {gamma.shape[0]}")
-    x2 = x.data.reshape(-1, c)
-    m = x2.shape[0]
+    lanes = x.shape[-2] if x.ndim > 2 else 1
+    x2 = x.data.reshape(-1, lanes * c)
+    m = x2.shape[0] * lanes
+
+    def channel_sum(lane_sums):
+        return lane_sums.reshape(lanes, c).sum(axis=0)
+
     if mode == "train":
-        mu = np.einsum("ij->j", x2) / m
-        xhat = x2 - mu
-        var = np.einsum("ij,ij->j", xhat, xhat) / m
+        mu = channel_sum(np.einsum("ij->j", x2)) / m
+        xhat = x2 - np.tile(mu, lanes)
+        var = channel_sum(np.einsum("ij,ij->j", xhat, xhat)) / m
         k = state.momentum
         state.running_mean = (k * state.running_mean
                               + (1.0 - k) * mu.astype(state.running_mean.dtype))
         state.running_var = (k * state.running_var
                              + (1.0 - k) * var.astype(state.running_var.dtype))
     elif mode == "infer":
-        xhat = x2 - state.running_mean.astype(x.dtype)
+        xhat = x2 - np.tile(state.running_mean.astype(x.dtype), lanes)
         var = state.running_var.astype(x.dtype)
     else:
         raise ValueError(f"unknown batchnorm mode {mode!r}")
     inv = 1.0 / np.sqrt(var + state.epsilon)
-    xhat *= inv
-    out = _node((xhat * gamma.data + beta.data).reshape(x.shape), (x, gamma, beta), "batchnorm")
+    xhat *= np.tile(inv, lanes)
+    y = xhat * np.tile(gamma.data, lanes) + np.tile(beta.data, lanes)
+    out = _node(y.reshape(x.shape), (x, gamma, beta), "batchnorm")
 
     if out.requires_grad:
         def backward(g):
-            g2 = g.reshape(-1, c)
-            gsum = np.einsum("ij->j", g2)
-            gdot = np.einsum("ij,ij->j", g2, xhat)
+            g2 = g.reshape(-1, lanes * c)
+            gsum = channel_sum(np.einsum("ij->j", g2))
+            gdot = channel_sum(np.einsum("ij,ij->j", g2, xhat))
             if gamma.requires_grad:
                 gamma._accumulate(gdot)
             if beta.requires_grad:
                 beta._accumulate(gsum)
             if x.requires_grad:
-                scale = gamma.data * inv
+                scale = np.tile(gamma.data * inv, lanes)
                 if mode == "train":
-                    gx = xhat * (-gdot / m)
+                    gx = xhat * np.tile(-gdot / m, lanes)
                     gx += g2
-                    gx -= gsum / m
+                    gx -= np.tile(gsum / m, lanes)
                     gx *= scale
                 else:
                     gx = g2 * scale
@@ -699,46 +707,83 @@ class BiGRUParams:
         }
 
 
-def _gru_direction(steps, p):
-    h = p.hidden
-    if p.w_x.shape[1] != 3 * h or p.b.shape != (3 * h,):
-        raise ShapeError(f"gru: packed shapes disagree: w_x {p.w_x.shape}, w_h {p.w_h.shape}, b {p.b.shape}")
-    n = steps[0].shape[0]
-    state = Tensor(np.zeros((n, h), dtype=steps[0].dtype))
-    outputs = []
-    w_zr = p.w_h[:, :2 * h]
-    w_n = p.w_h[:, 2 * h:]
-    for x_t in steps:
-        gx = add(matmul(x_t, p.w_x), p.b)
-        gh = matmul(state, w_zr)
-        z = sigmoid(add(gx[:, :h], gh[:, :h]))
-        r = sigmoid(add(gx[:, h:2 * h], gh[:, h:]))
-        cand = tanh(add(gx[:, 2 * h:], matmul(mul(r, state), w_n)))
-        state = add(mul(1.0 - z, state), mul(z, cand))
-        outputs.append(state)
-    return outputs
+def _gru_scan(x, w_x, w_h, b, reverse):
+    """One GRU direction over (N, T, Din) with zero initial state, as one node.
+
+    The input projection x @ w_x + b is one GEMM over all T steps (Appleyard
+    et al. 2016). The recurrence runs on plain arrays, walking t downward when
+    ``reverse``, and keeps z, r, the candidate n and the previous state of
+    every step. The backward is closed-form backpropagation through time: it
+    gathers the gate pre-activation gradients of all steps, so dx, dw_x, db
+    and dw_h are each one GEMM or reduction over all T.
+    """
+    n, t_len, din = x.shape
+    h = w_h.shape[0]
+    w_zr, w_n = w_h.data[:, :2 * h], w_h.data[:, 2 * h:]
+    gx = (x.data.reshape(-1, din) @ w_x.data + b.data).reshape(n, t_len, 3 * h)
+    z, r, cand, prev, y = (np.empty((n, t_len, h), dtype=gx.dtype) for _ in range(5))
+    steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    state = np.zeros((n, h), dtype=gx.dtype)
+    for t in steps:
+        g = gx[:, t]
+        gh = state @ w_zr
+        zt = 1.0 / (1.0 + np.exp(-(g[:, :h] + gh[:, :h])))
+        rt = 1.0 / (1.0 + np.exp(-(g[:, h:2 * h] + gh[:, h:])))
+        nt = np.tanh(g[:, 2 * h:] + (rt * state) @ w_n)
+        z[:, t], r[:, t], cand[:, t], prev[:, t] = zt, rt, nt, state
+        state = (1.0 - zt) * state + zt * nt
+        y[:, t] = state
+    out = _node(y, (x, w_x, w_h, b), "gru")
+
+    if out.requires_grad:
+        def backward(g):
+            dgx = np.empty((n, t_len, 3 * h), dtype=z.dtype)
+            carry = np.zeros((n, h), dtype=z.dtype)
+            for t in reversed(steps):
+                dh = g[:, t] + carry
+                zt, rt, nt, ht = z[:, t], r[:, t], cand[:, t], prev[:, t]
+                dn = dh * zt * (1.0 - nt * nt)
+                drh = dn @ w_n.T
+                dgx[:, t, :h] = dh * (nt - ht) * zt * (1.0 - zt)
+                dgx[:, t, h:2 * h] = drh * ht * rt * (1.0 - rt)
+                dgx[:, t, 2 * h:] = dn
+                carry = dh * (1.0 - zt) + drh * rt + dgx[:, t, :2 * h] @ w_zr.T
+            rows = dgx.reshape(-1, 3 * h)
+            if x.requires_grad:
+                x._accumulate((rows @ w_x.data.T).reshape(x.shape))
+            if w_x.requires_grad:
+                w_x._accumulate(x.data.reshape(-1, din).T @ rows)
+            if b.requires_grad:
+                b._accumulate(np.einsum("ij->j", rows))
+            if w_h.requires_grad:
+                hp = prev.reshape(-1, h)
+                w_h._accumulate(np.concatenate([hp.T @ rows[:, :2 * h],
+                                                (r.reshape(-1, h) * hp).T @ rows[:, 2 * h:]],
+                                               axis=1))
+        out._backward = backward
+    return out
 
 
 def gru_bidirectional(x, params):
     """Bidirectional GRU over (T, Din) or (N, T, Din) with zero initial state.
 
     Output step t concatenates the forward state after consuming x[..t] with
-    the backward state after consuming x[t..], giving (..., T, 2H).
+    the backward state after consuming x[t..], giving (..., T, 2H). Each
+    direction is one graph node (``_gru_scan``).
     """
     x = as_tensor(x)
     squeeze = x.ndim == 2
     xb = reshape(x, (1,) + x.shape) if squeeze else x
     if xb.ndim != 3:
         raise ShapeError(f"gru expects (T, Din) or (N, T, Din), got {x.shape}")
-    if xb.shape[2] != params.fw.w_x.shape[0] or xb.shape[2] != params.bw.w_x.shape[0]:
-        raise ShapeError(f"gru: input width {xb.shape[2]} != weight rows "
-                         f"{params.fw.w_x.shape[0]}/{params.bw.w_x.shape[0]}")
-    t_len = xb.shape[1]
-    steps = [xb[:, t, :] for t in range(t_len)]
-    fw = _gru_direction(steps, params.fw)
-    bw = list(reversed(_gru_direction(list(reversed(steps)), params.bw)))
-    per_step = [concat([f, b], axis=1) for f, b in zip(fw, bw)]
-    out = stack(per_step, axis=1)
+    for p in (params.fw, params.bw):
+        h = p.hidden
+        if (p.w_x.shape != (xb.shape[2], 3 * h) or p.w_h.shape != (h, 3 * h)
+                or p.b.shape != (3 * h,)):
+            raise ShapeError(f"gru: input width {xb.shape[2]} and packed shapes disagree: "
+                             f"w_x {p.w_x.shape}, w_h {p.w_h.shape}, b {p.b.shape}")
+    out = concat([_gru_scan(xb, p.w_x, p.w_h, p.b, reverse)
+                  for p, reverse in ((params.fw, False), (params.bw, True))], axis=2)
     return reshape(out, out.shape[1:]) if squeeze else out
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model as acrnn
-from .features import apply_norm
+from .features import normalize
 from .train import LeakageError, train
 
 GRID_LABELS = ("base", "attention", "augment", "attention+augment")
@@ -61,6 +61,33 @@ def predict_clip(params, segments):
     return int(avg.argmax()), avg
 
 
+def predict_clips(params, clips, stats, batch_size):
+    """``predict_clip`` for each clip of a sequence of raw segment lists.
+
+    The segments of all clips are normalized with ``stats`` and run through
+    the infer-mode forward ``batch_size`` at a time, so inference never holds
+    more than one training batch; each clip's probability rows are then
+    averaged as ``predict_clip`` does. Returns one (prediction, average) pair
+    per clip.
+    """
+    clips = list(clips)
+    if not clips:
+        return []
+    if not all(clips):
+        raise ValueError("predict_clips needs at least one segment per clip")
+    flat = [s for segs in clips for s in segs]
+    probs = np.concatenate([
+        acrnn.forward(params, normalize(np.stack([s.values for s in flat[i:i + batch_size]]),
+                                        stats), mode="infer").data
+        for i in range(0, len(flat), batch_size)])
+    out, start = [], 0
+    for segs in clips:
+        avg = probs[start:start + len(segs)].mean(axis=0)
+        out.append((int(avg.argmax()), avg))
+        start += len(segs)
+    return out
+
+
 def confusion_matrix(predictions, truths, num_classes):
     """(K, K) counts with cell (i, j) = clips of true class i predicted as j."""
     if len(predictions) != len(truths):
@@ -89,17 +116,13 @@ def fold_split(dataset):
     return split
 
 
-def evaluate_fold(dataset, params, stats, fold):
+def evaluate_fold(dataset, params, stats, fold, batch_size=64):
     """Clip accuracy plus (predictions, truths) for one held-out fold."""
     clips = dataset.clips(fold=fold, include_augmented=False)
     if not clips:
         raise ValueError(f"fold {fold} has zero clips")
-    predictions, truths = [], []
-    for clip_id, segs in clips.items():
-        normed = [apply_norm(s, stats) for s in segs]
-        pred, _ = predict_clip(params, normed)
-        predictions.append(pred)
-        truths.append(segs[0].label)
+    predictions = [pred for pred, _ in predict_clips(params, clips.values(), stats, batch_size)]
+    truths = [segs[0].label for segs in clips.values()]
     accuracy = float(np.mean([p == t for p, t in zip(predictions, truths)]))
     return accuracy, predictions, truths
 
@@ -129,7 +152,8 @@ def cross_validate(dataset, train_config, model_config, checkpoint="final", out_
         state = result.final_state if checkpoint == "final" else result.best_state
         acrnn.load_state(result.params, state)
         accuracy, predictions, truths = evaluate_fold(dataset, result.params,
-                                                      result.norm_stats, fold)
+                                                      result.norm_stats, fold,
+                                                      train_config.batch_size)
         already = evaluated & test_ids
         if already:
             raise LeakageError(f"clips evaluated twice: {sorted(already)[:3]}")

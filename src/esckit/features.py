@@ -176,19 +176,53 @@ def extract_segments(clip, fb, augmented=False):
     return segment(static, delta(static), clip, augmented=augmented)
 
 
+def _lanes(values):
+    """A (rows, frames * channels) view of (..., frames, channels) values and
+    the frame count: per-channel work on it runs numpy inner loops that are
+    frames * channels long instead of channels long."""
+    frames = values.shape[-2] if values.ndim > 1 else 1
+    return values.reshape(-1, frames * values.shape[-1]), frames
+
+
 def compute_norm_stats(segments):
-    """Per-channel mean/std over a training-fold segment collection."""
+    """Per-channel mean/std over a training-fold segment collection.
+
+    Two streaming passes in float64, one segment at a time: the channel sums
+    give the mean, then the squared deviations from it give the std. Nothing
+    the size of the whole collection is allocated.
+    """
     if not segments:
         raise ValueError("cannot compute normalization stats from zero segments")
-    stacked = np.stack([s.values for s in segments]).astype(np.float64)
-    mean = stacked.mean(axis=(0, 1, 2))
-    std = stacked.std(axis=(0, 1, 2))
+
+    def channel_sums(center=None):
+        total = 0.0
+        for s in segments:
+            rows, frames = _lanes(s.values)
+            if center is None:
+                lane_sums = np.add.reduce(rows, axis=0, dtype=np.float64)
+            else:
+                dev = rows - np.tile(center, frames)
+                lane_sums = np.einsum("ij,ij->j", dev, dev)
+            total = total + lane_sums.reshape(frames, -1).sum(axis=0)
+        return total
+
+    count = sum(s.values.size for s in segments) // segments[0].values.shape[-1]
+    mean = channel_sums() / count
+    std = np.sqrt(channel_sums(mean) / count)
     if np.any(std <= 0.0):
         raise ValueError(f"degenerate training set: zero std in channels {np.where(std <= 0.0)[0].tolist()}")
     return NormStats(mean=mean.astype(np.float32), std=std.astype(np.float32))
 
 
+def normalize(values, stats):
+    """Standardize an array of (..., frames, channels) values per channel:
+    (x - mean_c) / std_c in float32, for one segment or a stacked batch."""
+    rows, frames = _lanes(values)
+    out = (rows - np.tile(stats.mean.astype(np.float32), frames)) \
+        / np.tile(stats.std.astype(np.float32), frames)
+    return out.astype(np.float32, copy=False).reshape(values.shape)
+
+
 def apply_norm(seg, stats):
     """Standardize one segment: (x - mean_c) / std_c per channel."""
-    values = (seg.values - stats.mean.astype(np.float32)) / stats.std.astype(np.float32)
-    return replace(seg, values=values.astype(np.float32))
+    return replace(seg, values=normalize(seg.values, stats))

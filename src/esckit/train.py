@@ -23,7 +23,7 @@ from . import autodiff as ad
 from . import model as acrnn
 from .augment import AugmentConfig, mixup_arrays, sample_lambda
 from .data import one_hot
-from .features import apply_norm, compute_norm_stats
+from .features import compute_norm_stats, normalize
 
 
 class LeakageError(RuntimeError):
@@ -154,7 +154,7 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
     are both kept, and written as ckpt_best / ckpt_final when out_dir is set.
     Training accuracy is measured against the pre-mixup labels.
     """
-    from .evaluate import predict_clip  # local import; evaluate builds on train
+    from .evaluate import predict_clips  # local import; evaluate builds on train
 
     use_aug = config.augmentation.copies_per_clip > 0
     train_ds = dataset.subset(exclude_folds={held_out_fold}, include_augmented=use_aug)
@@ -194,7 +194,7 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
         for idx in epoch_batches(n, config.batch_size, rng_shuffle):
             batch_segments = [segments[i] for i in idx]
             epoch_ids.update(s.clip_id for s in batch_segments)
-            xb = np.stack([apply_norm(s, stats).values for s in batch_segments])
+            xb = normalize(np.stack([s.values for s in batch_segments]), stats)
             yb = one_hot(labels[idx], k)
             if mixup_on:
                 mix_batch(xb, yb, alpha, rng_mixup)
@@ -212,11 +212,9 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
                                f"contributed gradients in epoch {epoch}")
         contributing |= epoch_ids
 
-        val_correct = 0
-        for clip_id, segs in val_clips.items():
-            normed = [apply_norm(s, stats) for s in segs]
-            pred, _ = predict_clip(params, normed)
-            val_correct += int(pred == segs[0].label)
+        predicted = predict_clips(params, val_clips.values(), stats, config.batch_size)
+        val_correct = sum(pred == segs[0].label
+                          for (pred, _), segs in zip(predicted, val_clips.values()))
         val_acc = val_correct / len(val_clips) if val_clips else float("nan")
 
         history.rows.append(HistoryRow(

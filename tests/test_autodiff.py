@@ -259,6 +259,91 @@ class TestGRU:
             ad.gru_bidirectional(t(np.zeros((5, 7))), params)
 
 
+def _per_step_gru(x, params):
+    """The bidirectional GRU composed of per-step add/matmul/sigmoid/tanh nodes,
+    as the engine built it before each direction became one node."""
+    def direction(steps, p):
+        h = p.hidden
+        state = Tensor(np.zeros((steps[0].shape[0], h), dtype=steps[0].dtype))
+        outputs = []
+        for x_t in steps:
+            gx = ad.add(ad.matmul(x_t, p.w_x), p.b)
+            gh = ad.matmul(state, p.w_h[:, :2 * h])
+            z = ad.sigmoid(ad.add(gx[:, :h], gh[:, :h]))
+            r = ad.sigmoid(ad.add(gx[:, h:2 * h], gh[:, h:]))
+            cand = ad.tanh(ad.add(gx[:, 2 * h:], ad.matmul(ad.mul(r, state), p.w_h[:, 2 * h:])))
+            state = ad.add(ad.mul(1.0 - z, state), ad.mul(z, cand))
+            outputs.append(state)
+        return outputs
+
+    squeeze = x.ndim == 2
+    xb = ad.reshape(x, (1,) + x.shape) if squeeze else x
+    n, t_len, _ = xb.shape
+    steps = [xb[:, t, :] for t in range(t_len)]
+    fw = direction(steps, params.fw)
+    bw = direction(steps[::-1], params.bw)[::-1]
+    out = ad.concat([ad.reshape(ad.concat([f, b], axis=1), (n, 1, -1)) for f, b in zip(fw, bw)],
+                    axis=1)
+    return ad.reshape(out, out.shape[1:]) if squeeze else out
+
+
+# Relative error allowed between the fused GRU and the per-step reference: the
+# arithmetic is the same, but the backward sums over steps in another order.
+GRU_TOLERANCE = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3, 6, 5), (6, 5)])
+@pytest.mark.parametrize("frozen", [(), ("x", "fw.b", "bw.w_h")])
+def test_fused_gru_matches_per_step_reference(dtype, shape, frozen):
+    rng = np.random.default_rng(21)
+    din, h = shape[-1], 4
+    x = Tensor(rng.standard_normal(shape), dtype=dtype, requires_grad="x" not in frozen)
+    weights = {}
+    for side in ("fw", "bw"):
+        for name, wshape, scale in (("w_x", (din, 3 * h), 0.5), ("w_h", (h, 3 * h), 0.5),
+                                    ("b", (3 * h,), 0.1)):
+            key = f"{side}.{name}"
+            weights[key] = Tensor(scale * rng.standard_normal(wshape), dtype=dtype,
+                                  requires_grad=key not in frozen)
+    params = BiGRUParams(*(GRUDirParams(*(weights[f"{side}.{n}"] for n in ("w_x", "w_h", "b")))
+                           for side in ("fw", "bw")))
+    leaves = {"x": x, **weights}
+    projector = Tensor(rng.standard_normal(shape[:-1] + (2 * h,)), dtype=dtype)
+
+    results = []
+    for gru in (ad.gru_bidirectional, _per_step_gru):
+        for leaf in leaves.values():
+            leaf.grad = None
+        out = gru(x, params)
+        ad.tensor_sum(ad.mul(out, projector)).backward()
+        results.append((out.data, {k: v.grad for k, v in leaves.items()}))
+    (fused, fused_grads), (ref, ref_grads) = results
+
+    tol = GRU_TOLERANCE[dtype]
+    assert fused.dtype == dtype and fused.shape == ref.shape == shape[:-1] + (2 * h,)
+    assert np.abs(fused - ref).max() <= tol * np.abs(ref).max()
+    for name in leaves:
+        if name in frozen:
+            assert fused_grads[name] is None and ref_grads[name] is None, name
+            continue
+        got, want = fused_grads[name], ref_grads[name]
+        assert got.dtype == dtype, name
+        assert np.abs(got - want).max() <= tol * np.abs(want).max(), name
+
+
+def test_each_gru_direction_is_one_graph_node():
+    rng = np.random.default_rng(22)
+    din, h = 5, 3
+    def direction():
+        return GRUDirParams(t(rng.standard_normal((din, 3 * h)), requires_grad=True),
+                            t(rng.standard_normal((h, 3 * h)), requires_grad=True),
+                            t(rng.standard_normal(3 * h), requires_grad=True))
+    out = ad.gru_bidirectional(t(rng.standard_normal((2, 9, din)), requires_grad=True),
+                               BiGRUParams(fw=direction(), bw=direction()))
+    assert [n._op for n in out._topo_order() if n._prev] == ["gru", "gru", "concat"]
+
+
 class TestBatchnorm:
     def test_train_mode_standardizes(self):
         rng = np.random.default_rng(11)
@@ -292,6 +377,39 @@ class TestBatchnorm:
         ad.batchnorm(x, state, "train")
         assert state.running_mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 5.0)
         assert state.running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 5.0)
+
+    def test_train_statistics_are_accurate_at_full_input_size(self):
+        # 2M rows per channel: one float32 running sum per channel drifts by ~1e-3
+        rng = np.random.default_rng(19)
+        x = (5.0 + 3.0 * rng.standard_normal((64, 128, 128, 2))).astype(np.float32)
+        state = BatchNormState.create(2)
+        out = ad.batchnorm(t(x), state, "train").data
+        x64 = x.astype(np.float64)
+        mean, var = x64.mean(axis=(0, 1, 2)), x64.var(axis=(0, 1, 2))
+        ref = (x64 - mean) / np.sqrt(var + state.epsilon)
+        assert np.abs(out - ref).max() < 1e-4
+        assert np.allclose(state.running_mean, 0.1 * mean, rtol=1e-5)
+        assert np.allclose(state.running_var, 0.9 + 0.1 * var, rtol=1e-5)
+
+    @pytest.mark.parametrize("shape", [(50, 3), (6, 7, 3), (4, 5, 6, 3)])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_matches_float64_reference(self, shape, mode):
+        rng = np.random.default_rng(20)
+        x = (2.0 + 3.0 * rng.standard_normal(shape)).astype(np.float32)
+        state = BatchNormState.create(3)
+        state.gamma.data = np.array([0.5, 1.5, -1.0], dtype=np.float32)
+        state.beta.data = np.array([0.1, -0.2, 0.3], dtype=np.float32)
+        state.running_mean = np.array([1.0, 2.0, 3.0], dtype=np.float32)
+        state.running_var = np.array([4.0, 9.0, 0.25], dtype=np.float32)
+        x64 = x.astype(np.float64).reshape(-1, 3)
+        if mode == "train":
+            mean, var = x64.mean(axis=0), x64.var(axis=0)
+        else:
+            mean, var = state.running_mean.astype(np.float64), state.running_var.astype(np.float64)
+        ref = (x64 - mean) / np.sqrt(var + state.epsilon) * state.gamma.data + state.beta.data
+        out = ad.batchnorm(t(x), state, mode).data
+        assert out.shape == shape and out.dtype == np.float32
+        assert np.allclose(out.reshape(-1, 3), ref, rtol=1e-5, atol=1e-5)
 
 
 class TestActivationsAndDropout:

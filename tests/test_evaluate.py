@@ -6,7 +6,7 @@ from esckit import evaluate as ev
 from esckit import model as acrnn
 from esckit.augment import AugmentConfig
 from esckit.data import SegmentDataset
-from esckit.features import LogGTSegment
+from esckit.features import LogGTSegment, NormStats, apply_norm
 from esckit.train import TrainConfig
 
 
@@ -84,6 +84,48 @@ class TestPredictClip:
         assert avg.shape == (2,)
         assert abs(avg.sum() - 1.0) < 1e-5
         assert pred == int(avg.argmax())
+
+
+class TestPredictClips:
+    def test_equals_predict_clip_clip_by_clip(self):
+        params = acrnn.build(tiny_model_config(), seed=0)
+        rng = np.random.default_rng(1)
+        clips = [[LogGTSegment(values=(2.0 + rng.standard_normal((32, 32, 2))).astype(np.float32),
+                               clip_id=f"c{c}", segment_index=i, label=0, fold=1)
+                  for i in range(k)]
+                 for c, k in enumerate((3, 1, 5, 2))]
+        stats = NormStats(mean=np.array([2.0, 1.5], np.float32),
+                          std=np.array([1.2, 0.8], np.float32))
+        batched = ev.predict_clips(params, clips, stats, batch_size=4)
+        assert len(batched) == len(clips)
+        for (pred, avg), segs in zip(batched, clips):
+            want_pred, want_avg = ev.predict_clip(params, [apply_norm(s, stats) for s in segs])
+            assert pred == want_pred
+            assert avg.tobytes() == want_avg.tobytes()
+
+    def test_forward_runs_in_chunks_of_batch_size(self, stub_forward, monkeypatch):
+        sizes = []
+        stub = ev.acrnn.forward
+
+        def counting_forward(params, batch, mode):
+            sizes.append(len(batch))
+            return stub(params, batch, mode)
+
+        monkeypatch.setattr(ev.acrnn, "forward", counting_forward)
+        for marker in (1.0, 2.0, 3.0):
+            stub_forward[marker] = np.array([marker, 10.0 - marker], dtype=np.float32)
+        clips = [[marked_segment(1.0), marked_segment(2.0, index=1)],
+                 [marked_segment(3.0, "d"), marked_segment(3.0, "d", 1), marked_segment(1.0, "d", 2)]]
+        identity = NormStats(mean=np.zeros(2, np.float32), std=np.ones(2, np.float32))
+        out = ev.predict_clips(None, clips, identity, batch_size=2)
+        assert sizes == [2, 2, 1]
+        assert np.allclose(out[0][1], [1.5, 8.5]) and out[0][0] == 1
+        assert np.allclose(out[1][1], [7.0 / 3, 10.0 - 7.0 / 3])
+
+    def test_empty_clip_raises(self):
+        identity = NormStats(mean=np.zeros(2, np.float32), std=np.ones(2, np.float32))
+        with pytest.raises(ValueError):
+            ev.predict_clips(None, [[marked_segment(1.0)], []], identity, batch_size=2)
 
 
 class TestConfusionMatrix:

@@ -180,6 +180,28 @@ class TestNormStats:
         stats = ft.NormStats(mean=np.zeros(2, np.float32), std=np.ones(2, np.float32))
         assert np.array_equal(ft.apply_norm(seg, stats).values, seg.values)
 
+    def test_stats_match_float64_reference_under_a_large_offset(self):
+        rng = np.random.default_rng(6)
+        segs = [ft.LogGTSegment(values=(np.array([1e4, -300.0]) + [0.5, 2.0]
+                                        * rng.standard_normal((128, 128, 2))).astype(np.float32),
+                                clip_id=f"c{i}", segment_index=0, label=0, fold=1)
+                for i in range(7)]
+        stacked = np.stack([s.values for s in segs]).astype(np.float64)
+        stats = ft.compute_norm_stats(segs)
+        assert stats.mean.dtype == stats.std.dtype == np.float32
+        assert np.allclose(stats.mean, stacked.mean(axis=(0, 1, 2)), rtol=1e-6, atol=0)
+        assert np.allclose(stats.std, stacked.std(axis=(0, 1, 2)), rtol=1e-6, atol=0)
+
+    def test_normalize_a_batch_equals_apply_norm_per_segment(self):
+        segs = self._segments(np.random.default_rng(7), n=2)
+        stats = ft.NormStats(mean=np.array([-3.0, 0.1], np.float32),
+                             std=np.array([2.0, 0.7], np.float32))
+        batch = ft.normalize(np.stack([s.values for s in segs]), stats)
+        assert batch.dtype == np.float32
+        for row, seg in zip(batch, segs):
+            assert row.tobytes() == ft.apply_norm(seg, stats).values.tobytes()
+            assert row.tobytes() == ((seg.values - stats.mean) / stats.std).tobytes()
+
     def test_zero_std_raises(self):
         clip = make_clip(np.zeros(70_000))
         segs = ft.segment(np.zeros((128, 128)), np.zeros((128, 128)), clip)

@@ -118,6 +118,22 @@ def test_float32_train_step_has_no_float64_node_or_gradient():
     assert all(t.grad.dtype == np.float32 for t in params.tensors.values())
 
 
+# Graph nodes of one tiny-config train step over a 7-step GRU sequence. Each
+# GRU direction and each batch-norm is one node, so the count does not grow
+# with the number of time steps; per-step GRU graphs built 691 here.
+MAX_TRAIN_STEP_NODES = 57
+
+
+def test_train_step_graph_stays_small():
+    params = acrnn.build(tiny_model_config(input_frames=128), seed=0)
+    x = np.random.default_rng(0).standard_normal((2, 32, 128, 2)).astype(np.float32)
+    assert acrnn.shape_trace(params)[-3] == ("gru-input", (7, 5))
+    probs = acrnn.forward(params, x, mode="train", rng=np.random.default_rng(1))
+    loss = ad.cross_entropy(probs, Tensor(one_hot([0, 1], 2)))
+    nodes = [n._op for n in loss._topo_order() if n._prev]
+    assert len(nodes) <= MAX_TRAIN_STEP_NODES, sorted(set(nodes))
+
+
 def test_mix_batch_draws_partners_from_the_unmixed_batch():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((8, 3, 2, 2)).astype(np.float32)
