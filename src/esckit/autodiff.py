@@ -73,9 +73,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -105,7 +102,7 @@ class Tensor:
 
         Must be called on a scalar. Interior node gradients are recomputed from
         scratch on every call while leaf gradients accumulate, so calling twice
-        without ``zero_grad`` doubles the leaf gradients.
+        without resetting ``grad`` to None doubles the leaf gradients.
         """
         if self.data.size != 1:
             raise GraphError(f"backward() requires a scalar, got shape {self.shape}")
@@ -204,17 +201,6 @@ def mul(a, b):
                 a._accumulate(_unbroadcast(g * b.data, a.shape))
             if b.requires_grad:
                 b._accumulate(_unbroadcast(g * a.data, b.shape))
-        out._backward = backward
-    return out
-
-
-def powf(x, p):
-    """Elementwise x**p for a fixed float exponent."""
-    x = as_tensor(x)
-    out = _node(x.data ** p, (x,), "powf")
-    if out.requires_grad:
-        def backward(g):
-            x._accumulate(g * p * x.data ** (p - 1.0))
         out._backward = backward
     return out
 
@@ -697,14 +683,6 @@ class GRUDirParams:
 class BiGRUParams:
     fw: GRUDirParams
     bw: GRUDirParams
-
-    def tensors(self, prefix):
-        return {
-            f"{prefix}.fw.w_x": self.fw.w_x, f"{prefix}.fw.w_h": self.fw.w_h,
-            f"{prefix}.fw.b": self.fw.b,
-            f"{prefix}.bw.w_x": self.bw.w_x, f"{prefix}.bw.w_h": self.bw.w_h,
-            f"{prefix}.bw.b": self.bw.b,
-        }
 
 
 def _gru_scan(x, w_x, w_h, b, reverse):

@@ -15,14 +15,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cachefile import CACHE_VERSIONS, CacheFormatError, read_cache_dataset
+from .cachefile import CACHE_VERSIONS, CHECKPOINT_VERSION, CacheFormatError, \
+    CheckpointFormatError, read_cache_dataset, read_checkpoint, write_atomic
 from .config import ConfigError, RunConfig, dump_config, load_config
 from .dataset import AudioDecodeError, MetadataError, build_cache, load_metadata
 from .evaluate import EvalReport, ablate, ablation_to_csv, confusion_matrix, cross_validate, \
     evaluate_fold
 from .fdcheck import MODEL_TOLERANCE, OP_TOLERANCE, model_gradient_checks, op_gradient_checks
 from .features import compute_norm_stats
-from .model import CHECKPOINT_VERSION, CheckpointFormatError, build, load_state, read_checkpoint
+from .model import build, load_state
 from .train import train
 
 
@@ -113,17 +114,14 @@ def _blas():
 def _write_manifest(path, config, command):
     """The run's config plus what reproducing it bitwise depends on: the
     format versions and the numpy and BLAS builds."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     blas_name, blas_version = _blas()
-    with open(path, "w") as fh:
-        fh.write(dump_config(config))
-        fh.write(f"manifest.command = {command}\n")
-        fh.write(f"manifest.package_version = {__version__}\n")
-        fh.write(f"manifest.cache_format_version = {CACHE_VERSIONS[-1]}\n")
-        fh.write(f"manifest.checkpoint_format_version = {CHECKPOINT_VERSION}\n")
-        fh.write(f"manifest.numpy_version = {np.__version__}\n")
-        fh.write(f"manifest.blas_name = {blas_name}\n")
-        fh.write(f"manifest.blas_version = {blas_version}\n")
+    manifest = {"command": command, "package_version": __version__,
+                "cache_format_version": CACHE_VERSIONS[-1],
+                "checkpoint_format_version": CHECKPOINT_VERSION,
+                "numpy_version": np.__version__, "blas_name": blas_name,
+                "blas_version": blas_version}
+    text = dump_config(config) + "".join(f"manifest.{k} = {v}\n" for k, v in manifest.items())
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _dataset(config):

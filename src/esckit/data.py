@@ -30,10 +30,6 @@ class SegmentDataset:
     def __len__(self):
         return len(self.segments)
 
-    @property
-    def folds(self):
-        return sorted({s.fold for s in self.segments})
-
     def subset(self, folds=None, exclude_folds=None, include_augmented=True):
         keep = []
         for s in self.segments:

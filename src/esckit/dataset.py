@@ -180,5 +180,5 @@ def build_cache(records, data_dir, augment_config, out_path, seed=0):
             rng = _clip_rng(seed, record.filename)
             for copy in augment_clip(clip, augment_config, rng):
                 segments.extend(extract_segments(copy, fb, augmented=True))
-    write_cache(out_path, segments, version=2)
+    write_cache(out_path, segments)
     return len(segments)

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import model as acrnn
+from .cachefile import write_csv
 from .features import normalize
 from .train import LeakageError, train
 
@@ -24,20 +24,15 @@ class EvalReport:
     class_names: dict
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fold", "accuracy"])
-            for fold in sorted(self.fold_accuracies):
-                writer.writerow([fold, repr(self.fold_accuracies[fold])])
-            writer.writerow(["mean", repr(self.mean_accuracy)])
+        write_csv(path, [["fold", "accuracy"]]
+                  + [[fold, repr(self.fold_accuracies[fold])]
+                     for fold in sorted(self.fold_accuracies)]
+                  + [["mean", repr(self.mean_accuracy)]])
 
     def confusion_to_csv(self, path):
         names = [self.class_names.get(i, str(i)) for i in range(self.num_classes)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["true\\predicted"] + names)
-            for i, row in enumerate(self.confusion):
-                writer.writerow([names[i]] + [int(v) for v in row])
+        write_csv(path, [["true\\predicted"] + names]
+                  + [[names[i]] + [int(v) for v in row] for i, row in enumerate(self.confusion)])
 
 
 @dataclass
@@ -127,17 +122,15 @@ def evaluate_fold(dataset, params, stats, fold, batch_size=64):
     return accuracy, predictions, truths
 
 
-def cross_validate(dataset, train_config, model_config, checkpoint="final", out_dir=None):
+def cross_validate(dataset, train_config, model_config, out_dir=None):
     """Train once per fold on the remaining folds and evaluate the held-out one.
 
     Per-fold runs derive their seed as base seed + fold id. Normalization
     statistics and augmented segments come from the training folds only; the
-    harness re-asserts the no-leakage property on every fold. ``checkpoint``
-    selects whether the final or best-validation parameters are evaluated.
+    harness re-asserts the no-leakage property on every fold. Each fold is
+    evaluated with its final parameters.
     """
     split = fold_split(dataset)
-    if checkpoint not in ("final", "best"):
-        raise ValueError(f"checkpoint must be 'final' or 'best', got {checkpoint!r}")
     k = dataset.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)
     fold_accuracies = {}
@@ -149,8 +142,6 @@ def cross_validate(dataset, train_config, model_config, checkpoint="final", out_
         test_ids = split[fold]
         if result.stats_clip_ids & test_ids or result.contributing_clip_ids & test_ids:
             raise LeakageError(f"fold {fold}: held-out clips leaked into training")
-        state = result.final_state if checkpoint == "final" else result.best_state
-        acrnn.load_state(result.params, state)
         accuracy, predictions, truths = evaluate_fold(dataset, result.params,
                                                       result.norm_stats, fold,
                                                       train_config.batch_size)
@@ -164,7 +155,6 @@ def cross_validate(dataset, train_config, model_config, checkpoint="final", out_
                         mean_accuracy=float(np.mean(list(fold_accuracies.values()))),
                         confusion=confusion, num_classes=k, class_names=dataset.class_names)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         report.to_csv(os.path.join(out_dir, "report.csv"))
         report.confusion_to_csv(os.path.join(out_dir, "confusion.csv"))
     return report
@@ -213,9 +203,6 @@ def ablate(dataset, train_config, model_config, placements=None, grid=False):
 
 def ablation_to_csv(rows, path):
     folds = sorted(rows[0].fold_accuracies) if rows else []
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setting", "mean_accuracy"] + [f"fold{f}" for f in folds])
-        for row in rows:
-            writer.writerow([row.label, repr(row.mean_accuracy)]
-                            + [repr(row.fold_accuracies[f]) for f in folds])
+    write_csv(path, [["setting", "mean_accuracy"] + [f"fold{f}" for f in folds]]
+              + [[row.label, repr(row.mean_accuracy)]
+                 + [repr(row.fold_accuracies[f]) for f in folds] for row in rows])

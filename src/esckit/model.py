@@ -14,7 +14,6 @@ vectors.
 
 from __future__ import annotations
 
-import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -22,18 +21,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, BiGRUParams, GRUDirParams, ShapeError, Tensor
+from .cachefile import CheckpointFormatError
 
 CONV_KERNELS = ((3, 5), (3, 5), (3, 1), (3, 1), (1, 5), (1, 5), (3, 3), (3, 3))
 POOLS = {2: (4, 3), 4: (4, 1), 6: (1, 3), 8: (2, 2)}
 PLACEMENTS = ("none", "l2", "l4", "l6", "l8", "l10")
-
-CHECKPOINT_MAGIC = b"ACRN"
-CHECKPOINT_VERSION = 1
-
-
-class CheckpointFormatError(ValueError):
-    """Checkpoint bytes do not follow the ACRN container format."""
-
 
 @dataclass
 class ACRNNConfig:
@@ -275,7 +267,7 @@ def regularization_loss(params, l2_coeff=None):
     return ad.mul(total, float(coeff))
 
 
-# -- checkpoint container ---------------------------------------------------------
+# -- checkpoint state (the ACRN codec is in cachefile) --------------------------
 
 def state_arrays(params):
     """Copied arrays of every learnable tensor plus BN running statistics."""
@@ -302,53 +294,3 @@ def load_state(params, arrays):
     for name, state in params.bn.items():
         state.running_mean = arrays[f"{name}.running_mean"].astype(state.running_mean.dtype).copy()
         state.running_var = arrays[f"{name}.running_var"].astype(state.running_var.dtype).copy()
-
-
-def save_checkpoint(path, params_or_state):
-    """Write the ACRN tensor container (little-endian, float32, lossless)."""
-    state = params_or_state if isinstance(params_or_state, dict) else state_arrays(params_or_state)
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(state))]
-    for name, arr in state.items():
-        encoded = name.encode("utf-8")
-        arr32 = np.ascontiguousarray(arr, dtype="<f4")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", arr32.ndim))
-        chunks.append(struct.pack(f"<{arr32.ndim}I", *arr32.shape))
-        chunks.append(arr32.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
-
-
-def read_checkpoint(path):
-    """Parse an ACRN container into an ordered name -> float32 array dict."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"bad magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    offset = 12
-    out = OrderedDict()
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            dims = struct.unpack_from(f"<{rank}I", blob, offset)
-            offset += 4 * rank
-            size = int(np.prod(dims)) if rank else 1
-            if offset + 4 * size > len(blob):
-                raise struct.error("truncated tensor data")
-            data = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
-            offset += 4 * size
-            out[name] = data.reshape(dims).copy()
-    except struct.error as exc:
-        raise CheckpointFormatError(f"truncated checkpoint at byte {offset}: {exc}") from exc
-    if offset != len(blob):
-        raise CheckpointFormatError(f"{len(blob) - offset} trailing bytes after {count} tensors")
-    return out

@@ -12,7 +12,6 @@ epoch.
 
 from __future__ import annotations
 
-import csv
 import os
 import time
 from dataclasses import dataclass, field
@@ -22,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as acrnn
 from .augment import AugmentConfig, mixup_arrays, sample_lambda
+from .cachefile import save_checkpoint, write_csv
 from .data import one_hot
 from .features import compute_norm_stats, normalize
 
@@ -61,12 +61,9 @@ class TrainHistory:
         return [getattr(r, name) for r in self.rows]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "lr", "train_loss", "train_acc", "val_acc", "seconds"])
-            for r in self.rows:
-                writer.writerow([r.epoch, repr(r.lr), repr(r.train_loss), repr(r.train_acc),
-                                 repr(r.val_acc), repr(r.seconds)])
+        write_csv(path, [["epoch", "lr", "train_loss", "train_acc", "val_acc", "seconds"]]
+                  + [[r.epoch, repr(r.lr), repr(r.train_loss), repr(r.train_acc),
+                      repr(r.val_acc), repr(r.seconds)] for r in self.rows])
 
 
 @dataclass
@@ -228,9 +225,8 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
     if best_state is None:
         best_state = final_state
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        acrnn.save_checkpoint(os.path.join(out_dir, "ckpt_best"), best_state)
-        acrnn.save_checkpoint(os.path.join(out_dir, "ckpt_final"), final_state)
+        save_checkpoint(os.path.join(out_dir, "ckpt_best"), best_state)
+        save_checkpoint(os.path.join(out_dir, "ckpt_final"), final_state)
         history.to_csv(os.path.join(out_dir, "history.csv"))
     return TrainResult(params=params, best_state=best_state, final_state=final_state,
                        history=history, norm_stats=stats, steps_per_epoch=steps_per_epoch,

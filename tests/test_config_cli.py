@@ -3,9 +3,8 @@ import pytest
 
 from esckit import cli
 from esckit import config as cfg
-from esckit.cachefile import CACHE_VERSIONS, read_cache
+from esckit.cachefile import CACHE_VERSIONS, CHECKPOINT_VERSION, read_cache
 from esckit.features import SAMPLE_RATE
-from esckit.model import CHECKPOINT_VERSION
 from test_dataset import meta_csv, write_wav
 
 

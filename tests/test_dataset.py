@@ -164,14 +164,22 @@ class TestCacheFormat:
                    (b.clip_id, b.segment_index, b.label, b.fold, b.augmented)
 
     def test_version1_reads_without_flags(self, tmp_path):
+        # the writer emits version 2 only; version 1 bytes are built by hand
         rng = np.random.default_rng(1)
         segments = random_segments(3, rng)
+        blob = cf.CACHE_MAGIC + struct.pack("<II", 1, len(segments))
+        for s in segments:
+            name = s.clip_id.encode("utf-8")
+            blob += struct.pack("<H", len(name)) + name
+            blob += struct.pack("<III", s.segment_index, s.label, s.fold)
+            blob += s.values.astype("<f4").tobytes()
         path = tmp_path / "v1.lgt"
-        cf.write_cache(path, segments, version=1)
+        path.write_bytes(blob)
         loaded = cf.read_cache(path)
+        assert [(s.clip_id, s.segment_index, s.label, s.fold) for s in loaded] == \
+               [(s.clip_id, s.segment_index, s.label, s.fold) for s in segments]
+        assert all(a.values.tobytes() == b.values.tobytes() for a, b in zip(segments, loaded))
         assert all(not s.augmented for s in loaded)
-        with pytest.raises(cf.CacheFormatError):
-            cf.write_cache(path, random_segments(2, rng, augmented=True), version=1)
 
     def test_unknown_magic_and_version_rejected(self, tmp_path):
         path = tmp_path / "bad.lgt"

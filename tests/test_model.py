@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from esckit import autodiff as ad
+from esckit import cachefile as cf
 from esckit import model as acrnn
 from esckit.autodiff import ShapeError, Tensor
 from esckit.fdcheck import MODEL_TOLERANCE, model_gradient_checks
@@ -224,8 +225,8 @@ class TestCheckpoint:
         x = np.random.default_rng(3).standard_normal((2, 32, 32, 2)).astype(np.float32)
         acrnn.forward(params, x, mode="train", rng=np.random.default_rng(0))
         path = tmp_path / "ckpt_test"
-        acrnn.save_checkpoint(path, params)
-        arrays = acrnn.read_checkpoint(path)
+        cf.save_checkpoint(path, acrnn.state_arrays(params))
+        arrays = cf.read_checkpoint(path)
         state = acrnn.state_arrays(params)
         assert list(arrays) == list(state)
         for name in state:
@@ -238,31 +239,46 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(acrnn.CheckpointFormatError):
-            acrnn.read_checkpoint(path)
+        with pytest.raises(cf.CheckpointFormatError, match="magic"):
+            cf.read_checkpoint(path)
 
     def test_bad_version_rejected(self, tmp_path):
         params = acrnn.build(tiny_config(), seed=0)
         path = tmp_path / "ckpt"
-        acrnn.save_checkpoint(path, params)
+        cf.save_checkpoint(path, acrnn.state_arrays(params))
         blob = bytearray(path.read_bytes())
         blob[4] = 9
         path.write_bytes(bytes(blob))
-        with pytest.raises(acrnn.CheckpointFormatError):
-            acrnn.read_checkpoint(path)
+        with pytest.raises(cf.CheckpointFormatError, match="version"):
+            cf.read_checkpoint(path)
 
     def test_truncation_rejected(self, tmp_path):
         params = acrnn.build(tiny_config(), seed=0)
         path = tmp_path / "ckpt"
-        acrnn.save_checkpoint(path, params)
+        cf.save_checkpoint(path, acrnn.state_arrays(params))
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(acrnn.CheckpointFormatError):
-            acrnn.read_checkpoint(path)
+        with pytest.raises(cf.CheckpointFormatError, match="truncated"):
+            cf.read_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        params = acrnn.build(tiny_config(), seed=0)
+        path = tmp_path / "ckpt"
+        cf.save_checkpoint(path, acrnn.state_arrays(params))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(cf.CheckpointFormatError, match="trailing"):
+            cf.read_checkpoint(path)
+
+    def test_shape_mismatch_rejected(self):
+        params = acrnn.build(tiny_config(), seed=0)
+        state = acrnn.state_arrays(params)
+        state["conv1.kernel"] = state["conv1.kernel"][:1]
+        with pytest.raises(cf.CheckpointFormatError, match="shape"):
+            acrnn.load_state(params, state)
 
     def test_state_name_mismatch_rejected(self):
         a = acrnn.build(tiny_config(), seed=0)
         b = acrnn.build(tiny_config(attention_placement="l2"), seed=0)
-        with pytest.raises(acrnn.CheckpointFormatError):
+        with pytest.raises(cf.CheckpointFormatError):
             acrnn.load_state(a, acrnn.state_arrays(b))
 
 
