@@ -11,6 +11,11 @@ matmul, reshape/transpose/slicing/concat, reductions, activations, softmax,
 dropout, a bidirectional GRU, and cross-entropy on probabilities. Batch
 normalization and each GRU direction are single graph nodes with closed-form
 backward passes, so a step's graph does not grow with the sequence length.
+Convolution is one node too, with no patch buffer: GEMMs of the flattened
+padded input, regrouped into super-rows of S = ceil(16 / max(Cin, Cout))
+grid positions, against banded weight blocks built from the kernel, so
+narrow layers run a few wide GEMMs and layers of 16 channels or more
+(S = 1) run one GEMM per kernel tap.
 """
 
 from __future__ import annotations
@@ -434,22 +439,52 @@ def _conv_geometry(size, k, s, padding):
     raise ValueError(f"unknown padding {padding!r}")
 
 
-# Rows of the flattened padded input a tap loop works on at a time: the rows
-# and the matching output rows stay in cache across the kernel taps.
-_BLOCK_BYTES = 1 << 20
+# Bytes of input plus output super-rows that one block of GEMMs works on: the
+# block stays in cache across the kernel's GEMMs.
+_BLOCK_BYTES = 1 << 18
 
 
-def _tap_blocks(rows, block, taps):
-    """Slices pairing output rows with input rows of the flattened padded grid.
+def _super_rows(rows, start, s, count):
+    """``count`` super-rows of ``s`` consecutive rows of the C-contiguous
+    (rows, c) array from row ``start``: a (count, s*c) view, no copy."""
+    c = rows.shape[1]
+    return rows.reshape(-1)[start * c:(start + count * s) * c].reshape(count, s * c)
 
-    Output row p (grid position (n, i, j)) reads input row p + a*Tp + b through
-    tap (a, b). Yields (output rows, input rows, a, b) for every tap of every
-    block of ``block`` output rows below ``rows``.
+
+def _band_views(src, kf, nb, s, tp, count):
+    """The super-row views that kernel row a, band j reads: src from row a*tp + j*s."""
+    return [_super_rows(src, a * tp + j * s, s, count) for a in range(kf) for j in range(nb)]
+
+
+def _band_taps(kt, s, dtype):
+    """One-hot (nb, s, s, kt) map from (band j, input slot r, output slot o) to
+    the kernel column b = j*s + r - o it applies; nb = ceil((s + kt - 1) / s)."""
+    j, r, o = np.ogrid[:-(-(s + kt - 1) // s), :s, :s]
+    return ((j * s + r - o)[..., None] == np.arange(kt)).astype(dtype)
+
+
+def _correlate(src, w, taps, tp, count):
+    """Rows p < count*s of the flattened correlation sum over taps (a, b) of
+    src[p + a*tp + b] @ w[a, b], as a (count*s, cout) array.
+
+    src: (rows, cin), C-contiguous, with (kf-1)*tp + (nb-1)*s rows past the
+    last output row; w: (kf, kt, cin, cout); taps: ``_band_taps(kt, s)``.
     """
-    for start in range(0, rows, block):
-        stop = min(start + block, rows)
-        for a, b, offset in taps:
-            yield slice(start, stop), slice(start + offset, stop + offset), a, b
+    kf, _, cin, cout = w.shape
+    nb, s = taps.shape[:2]
+    bands = np.einsum("abic,jrob->ajrioc", w, taps).reshape(kf * nb, s * cin, s * cout)
+    views = _band_views(src, kf, nb, s, tp, count)
+    out = np.empty((count, s * cout), dtype=np.result_type(src, w))
+    block = max(1, _BLOCK_BYTES // (s * (cin + cout) * out.itemsize))
+    tmp = np.empty((min(block, count), s * cout), dtype=out.dtype)
+    for lo in range(0, count, block):
+        o = out[lo:lo + block]
+        tb = tmp[:len(o)]
+        np.matmul(views[0][lo:lo + block], bands[0], out=o)
+        for v, band in zip(views[1:], bands[1:]):
+            np.matmul(v[lo:lo + block], band, out=tb)
+            o += tb
+    return out.reshape(count * s, cout)
 
 
 def conv2d(x, kernel, bias=None, stride=(1, 1), padding="same"):
@@ -457,10 +492,20 @@ def conv2d(x, kernel, bias=None, stride=(1, 1), padding="same"):
 
     x: (F, T, Cin) or (N, F, T, Cin); kernel: (kf, kt, Cin, Cout); bias: (Cout,).
 
-    Computed as one GEMM per kernel tap on the flattened padded input, with no
-    patch (im2col) buffer: the output is evaluated at every padded-grid
-    position and the strided positions are kept. Backward re-reads the padded
-    input, and the kernel gradient is a sum of per-tap GEMMs.
+    The padded input is flattened to (rows, Cin), where output row p reads
+    input row p + a*Tp + b through tap (a, b), and viewed without a copy as
+    super-rows of S consecutive rows, S = ceil(16 / max(Cin, Cout)). Kernel
+    row a then needs nb = ceil((S + kt - 1) / S) banded (S*Cin, S*Cout)
+    weight blocks, one per super-row it reaches, so the output costs kf*nb
+    GEMMs with an inner dimension of S*Cin rather than kf*kt GEMMs with one
+    of Cin: 6 rather than 15 at 2 channels and a (3, 5) kernel. From 16
+    channels up S is 1, one GEMM per tap. There is no patch (im2col) buffer:
+    the output is evaluated at every padded-grid position and the strided
+    positions are kept. Backward keeps only the padded input. The kernel
+    gradient is the per-band GEMMs of the same views against the output
+    gradient, folded back along the band diagonals; the input gradient is the
+    same correlation of the output gradient, led by (kf-1)*Tp + kt-1 zero
+    rows, with the flipped, channel-swapped kernel.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     squeeze = x.ndim == 3
@@ -482,17 +527,17 @@ def conv2d(x, kernel, bias=None, stride=(1, 1), padding="same"):
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({cout},)")
 
-    xp = np.pad(xd, ((0, 0), (pf0, pf1), (pt0, pt1), (0, 0)))
-    _, fp, tp, _ = xp.shape
-    rows = n * fp * tp - (kf - 1) * tp - (kt - 1)  # every output position lies below
-    taps = [(a, b, a * tp + b) for a in range(kf) for b in range(kt)]
-    block = max(1, _BLOCK_BYTES // ((cin + cout) * xp.itemsize))
     w = kernel.data
-    xrows = xp.reshape(-1, cin)
-    grid = np.zeros((n, fp, tp, cout), dtype=np.result_type(xp, w))
-    grows = grid.reshape(-1, cout)
-    for out_rows, in_rows, a, b in _tap_blocks(rows, block, taps):
-        grows[out_rows] += xrows[in_rows] @ w[a, b]
+    fp, tp = f + pf0 + pf1, t + pt0 + pt1
+    rows = n * fp * tp
+    s = -(-16 // max(cin, cout))
+    taps = _band_taps(kt, s, w.dtype)
+    nb, count = len(taps), -(-rows // s)
+    # Zero rows after the grid, so that every band view is count super-rows long.
+    tail = (kf - 1) * tp + nb * s - 1
+    xrows = np.zeros((rows + tail, cin), dtype=xd.dtype)
+    xrows[:rows].reshape(n, fp, tp, cin)[:, pf0:pf0 + f, pt0:pt0 + t, :] = xd
+    grid = _correlate(xrows, w, taps, tp, count)[:rows].reshape(n, fp, tp, cout)
     y = grid[:, :of * sf:sf, :ot * st:st, :]
     y = y + bias.data if bias is not None else np.ascontiguousarray(y)
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
@@ -503,20 +548,26 @@ def conv2d(x, kernel, bias=None, stride=(1, 1), padding="same"):
             gb = g[None] if squeeze else g
             if bias is not None and bias.requires_grad:
                 bias._accumulate(np.einsum("ij->j", gb.reshape(-1, cout)))
-            ggrid = np.zeros((n, fp, tp, cout), dtype=gb.dtype)
+            # The output gradient on the padded grid, after the zero rows that
+            # turn the input gradient into a correlation.
+            lead = (kf - 1) * tp + kt - 1
+            grows = np.zeros((lead + rows + tail, cout), dtype=gb.dtype)
+            ggrid = grows[lead:lead + rows].reshape(n, fp, tp, cout)
             ggrid[:, :of * sf:sf, :ot * st:st, :] = gb
-            grid_rows = ggrid.reshape(-1, cout)
-            gw, gxp = np.zeros_like(w), np.zeros_like(xp)
-            gx_rows = gxp.reshape(-1, cin)
-            for out_rows, in_rows, a, b in _tap_blocks(rows, block, taps):
-                gout = grid_rows[out_rows]
-                if kernel.requires_grad:
-                    gw[a, b] += xrows[in_rows].T @ gout
-                if x.requires_grad:
-                    gx_rows[in_rows] += gout @ w[a, b].T
             if kernel.requires_grad:
-                kernel._accumulate(gw)
+                views = _band_views(xrows, kf, nb, s, tp, count)
+                gout = _super_rows(grows, lead, s, count)
+                gbands = np.zeros((kf * nb, s * cin, s * cout), dtype=w.dtype)
+                block = max(1, _BLOCK_BYTES // (s * (cin + cout) * gout.itemsize))
+                for lo in range(0, count, block):
+                    go = gout[lo:lo + block]
+                    for gband, v in zip(gbands, views):
+                        gband += v[lo:lo + block].T @ go
+                gbands = gbands.reshape(kf, nb, s, cin, s, cout)
+                kernel._accumulate(np.einsum("ajrioc,jrob->abic", gbands, taps))
             if x.requires_grad:
+                wflip = w[::-1, ::-1].transpose(0, 1, 3, 2)
+                gxp = _correlate(grows, wflip, taps, tp, count)[:rows].reshape(n, fp, tp, cin)
                 gx = gxp[:, pf0:pf0 + f, pt0:pt0 + t, :]
                 x._accumulate(gx[0] if squeeze else gx)
         out._backward = backward

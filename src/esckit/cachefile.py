@@ -153,7 +153,7 @@ def save_checkpoint(path, state):
     """Write a name -> array mapping as an ACRN container (float32, lossless)."""
     records = []
     for name, arr in state.items():
-        arr32 = np.ascontiguousarray(arr, dtype="<f4")
+        arr32 = np.asarray(arr, dtype="<f4", order="C")  # keeps rank 0, unlike ascontiguousarray
         records.append((name, struct.pack(f"<B{arr32.ndim}I", arr32.ndim, *arr32.shape), arr32))
     _write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, records)
 

@@ -47,6 +47,23 @@ class TestConv2d:
         scaled = ad.conv2d(t(3.0 * x), k, None, (1, 1), "same").data
         assert np.allclose(scaled, 3.0 * one, rtol=1e-5, atol=1e-5)
 
+    def test_backward_keeps_only_the_padded_input(self):
+        # The conv1 shape at batch 4: 128x128, 2 -> 2 channels, (3, 5) kernel.
+        x = t(np.ones((4, 128, 128, 2)), requires_grad=True)
+        k = t(np.ones((3, 5, 2, 2)), requires_grad=True)
+        out = ad.conv2d(x, k, t(np.zeros(2), requires_grad=True))
+        roots = {}
+        for cell in out._backward.__closure__:
+            arr = cell.cell_contents
+            if isinstance(arr, np.ndarray):
+                while isinstance(arr.base, np.ndarray):
+                    arr = arr.base
+                roots[id(arr)] = arr.nbytes
+        padded = 4 * 130 * 132 * 2 * 4
+        # A kept output grid, im2col buffer or band-expanded input would add
+        # at least another padded input's bytes.
+        assert padded <= sum(roots.values()) <= padded + 16 * 1024
+
     def test_batched_matches_per_example(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 5, 6, 2)).astype(np.float32)
@@ -89,6 +106,11 @@ def conv2d_reference(x, k, b, stride, padding, proj):
     return out, gx, gk, proj.sum(axis=(0, 1, 2))
 
 
+# Super-row width S = ceil(16 / max(cin, cout)) and band count nb = ceil((S + kt - 1) / S):
+# (2, 2) with kt = 5 is the conv1 shape (S = 8, 2 bands), (8, 8) gives S = 2 and
+# 3 bands at kt = 5, (16, 16) gives S = 1 (one GEMM per tap). The padded grids
+# hold row counts such as 9 * 13 = 117 that are no multiple of S.
+@pytest.mark.parametrize("cin, cout", [(3, 4), (2, 2), (2, 3), (8, 8), (16, 16)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("batched", [False, True])
 @pytest.mark.parametrize("kernel_size, stride, padding", [
@@ -97,12 +119,15 @@ def conv2d_reference(x, k, b, stride, padding, proj):
     ((3, 2), (2, 1), "same"),
     ((2, 3), (1, 2), "valid"),
     ((3, 3), (1, 2), "same"),
+    ((3, 5), (1, 1), "same"),
+    ((3, 1), (2, 1), "same"),
 ])
-def test_conv2d_matches_per_position_reference(kernel_size, stride, padding, batched, dtype):
+def test_conv2d_matches_per_position_reference(kernel_size, stride, padding, batched, dtype,
+                                               cin, cout):
     rng = np.random.default_rng(20)
-    x = rng.standard_normal((2, 7, 9, 3)).astype(dtype)
-    k = rng.standard_normal(kernel_size + (3, 4)).astype(dtype)
-    b = rng.standard_normal(4).astype(dtype)
+    x = rng.standard_normal((2, 7, 9, cin)).astype(dtype)
+    k = rng.standard_normal(kernel_size + (cin, cout)).astype(dtype)
+    b = rng.standard_normal(cout).astype(dtype)
     xs = x if batched else x[:1]
     xt, kt, bt = (Tensor(a, requires_grad=True) for a in (xs if batched else xs[0], k, b))
     out = ad.conv2d(xt, kt, bt, stride, padding)

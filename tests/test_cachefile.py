@@ -23,8 +23,9 @@ class TestByteLayout:
     def test_checkpoint_bytes_follow_the_documented_layout(self, tmp_path):
         state = OrderedDict([("conv.kernel", np.arange(6, dtype=np.float64).reshape(1, 2, 3)),
                              ("gru.b", np.array([[2.5], [0.25]], np.float32)),
-                             ("bn.running_mean", np.array([-1.0, 0.5], np.float32))])
-        expected = cf.CHECKPOINT_MAGIC + struct.pack("<II", 1, 3)
+                             ("bn.running_mean", np.array([-1.0, 0.5], np.float32)),
+                             ("opt.scale", np.float32(2.5))])  # rank 0: no dims
+        expected = cf.CHECKPOINT_MAGIC + struct.pack("<II", 1, 4)
         for name, arr in state.items():
             arr = np.asarray(arr, dtype="<f4")
             expected += struct.pack("<H", len(name)) + name.encode("utf-8")
