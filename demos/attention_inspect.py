@@ -12,8 +12,8 @@ from esckit.autodiff import Tensor
 rng = np.random.default_rng(0)
 
 # CNN attention: an energy burst in a few frames earns them the weight
-m = np.full((8, 12, 3), 0.1, dtype=np.float32)
-m[:, 5:7, :] = 3.0  # frames 5-6 are loud
+m = np.full((1, 8, 12, 3), 0.1, dtype=np.float32)  # a batch of one map
+m[:, :, 5:7, :] = 3.0  # frames 5-6 are loud
 kernel = Tensor(np.full((3, 3, 3, 1), 0.2, np.float32))
 bias = Tensor(np.zeros(1, np.float32))
 weights = acrnn.cnn_attention_weights(Tensor(m), kernel, bias).data.reshape(-1)

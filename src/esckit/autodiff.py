@@ -5,17 +5,18 @@ the operations applied to them as a DAG. Calling ``backward()`` on a scalar
 tensor walks that DAG once in reverse topological order and accumulates
 gradients into every leaf tensor with ``requires_grad=True``.
 
-Only the operations the network needs are provided: elementwise arithmetic,
-matmul, reshape/transpose/slicing/concat, reductions, activations, softmax,
-2-D convolution and max pooling on channel-last maps, batch normalization,
-dropout, a bidirectional GRU, and cross-entropy on probabilities. Batch
-normalization and each GRU direction are single graph nodes with closed-form
-backward passes, so a step's graph does not grow with the sequence length.
-Convolution is one node too, with no patch buffer: GEMMs of the flattened
-padded input, regrouped into super-rows of S = ceil(16 / max(Cin, Cout))
-grid positions, against banded weight blocks built from the kernel, so
-narrow layers run a few wide GEMMs and layers of 16 channels or more
-(S = 1) run one GEMM per kernel tap.
+Only the operations the network calls are provided, in the form it calls
+them: elementwise arithmetic, matmul, reshape/transpose/slicing/concat,
+reductions, activations, softmax, stride-1 "same" 2-D convolution and
+non-overlapping max pooling on batched (N, F, T, C) channel-last maps, batch
+normalization, dropout, a bidirectional GRU over batched (N, T, D)
+sequences, and cross-entropy on probabilities. Batch normalization and each
+GRU direction are single graph nodes with closed-form backward passes, so a
+step's graph does not grow with the sequence length. Convolution is one node
+too, with no patch buffer: GEMMs of the flattened padded input, regrouped
+into super-rows of S = ceil(16 / max(Cin, Cout)) grid positions, against
+banded weight blocks built from the kernel, so narrow layers run a few wide
+GEMMs and layers of 16 channels or more (S = 1) run one GEMM per kernel tap.
 """
 
 from __future__ import annotations
@@ -143,23 +144,8 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return tensor_slice(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis, keepdims)
 
 
 def as_tensor(x, dtype=None):
@@ -206,17 +192,6 @@ def mul(a, b):
                 a._accumulate(_unbroadcast(g * b.data, a.shape))
             if b.requires_grad:
                 b._accumulate(_unbroadcast(g * a.data, b.shape))
-        out._backward = backward
-    return out
-
-
-def exp(x):
-    x = as_tensor(x)
-    y = np.exp(x.data)
-    out = _node(y, (x,), "exp")
-    if out.requires_grad:
-        def backward(g):
-            x._accumulate(g * y)
         out._backward = backward
     return out
 
@@ -428,17 +403,6 @@ def softmax(x):
 
 # -- convolution and pooling --------------------------------------------------
 
-def _conv_geometry(size, k, s, padding):
-    if padding == "same":
-        out = -(-size // s)
-        total = max((out - 1) * s + k - size, 0)
-        return out, total // 2, total - total // 2
-    if padding == "valid":
-        out = (size - k) // s + 1
-        return out, 0, 0
-    raise ValueError(f"unknown padding {padding!r}")
-
-
 # Bytes of input plus output super-rows that one block of GEMMs works on: the
 # block stays in cache across the kernel's GEMMs.
 _BLOCK_BYTES = 1 << 18
@@ -487,10 +451,12 @@ def _correlate(src, w, taps, tp, count):
     return out.reshape(count * s, cout)
 
 
-def conv2d(x, kernel, bias=None, stride=(1, 1), padding="same"):
-    """2-D correlation over channel-last maps.
+def conv2d(x, kernel, bias=None):
+    """Stride-1 "same" 2-D correlation over batched channel-last maps.
 
-    x: (F, T, Cin) or (N, F, T, Cin); kernel: (kf, kt, Cin, Cout); bias: (Cout,).
+    x: (N, F, T, Cin); kernel: (kf, kt, Cin, Cout); bias: (Cout,); output
+    (N, F, T, Cout). Each axis is zero-padded by (k-1)//2 before and the rest
+    after, so an even kernel pads one more row or column after than before.
 
     The padded input is flattened to (rows, Cin), where output row p reads
     input row p + a*Tp + b through tap (a, b), and viewed without a copy as
@@ -500,60 +466,50 @@ def conv2d(x, kernel, bias=None, stride=(1, 1), padding="same"):
     GEMMs with an inner dimension of S*Cin rather than kf*kt GEMMs with one
     of Cin: 6 rather than 15 at 2 channels and a (3, 5) kernel. From 16
     channels up S is 1, one GEMM per tap. There is no patch (im2col) buffer:
-    the output is evaluated at every padded-grid position and the strided
-    positions are kept. Backward keeps only the padded input. The kernel
-    gradient is the per-band GEMMs of the same views against the output
-    gradient, folded back along the band diagonals; the input gradient is the
-    same correlation of the output gradient, led by (kf-1)*Tp + kt-1 zero
-    rows, with the flipped, channel-swapped kernel.
+    the output is evaluated at every padded-grid position and its first F
+    rows and T columns are kept. Backward keeps only the padded input. The
+    kernel gradient is the per-band GEMMs of the same views against the
+    output gradient, folded back along the band diagonals; the input gradient
+    is the same correlation of the output gradient, led by (kf-1)*Tp + kt-1
+    zero rows, with the flipped, channel-swapped kernel.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4 or kernel.ndim != 4:
-        raise ShapeError(f"conv2d expects 3/4-d input and 4-d kernel, got {x.shape}, {kernel.shape}")
-    n, f, t, cin = xd.shape
+    if x.ndim != 4 or kernel.ndim != 4:
+        raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape}, {kernel.shape}")
+    n, f, t, cin = x.shape
     kf, kt, kcin, cout = kernel.shape
     if kcin != cin:
         raise ShapeError(f"conv2d: input channels {cin} != kernel channels {kcin}")
-    sf, st = stride
-    if sf < 1 or st < 1:
-        raise ShapeError(f"conv2d: stride must be >= 1, got {stride}")
-    of, pf0, pf1 = _conv_geometry(f, kf, sf, padding)
-    ot, pt0, pt1 = _conv_geometry(t, kt, st, padding)
-    if of < 1 or ot < 1:
-        raise ShapeError(f"conv2d: kernel ({kf},{kt}) larger than padded input ({f},{t})")
     bias = as_tensor(bias) if bias is not None else None
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({cout},)")
 
     w = kernel.data
-    fp, tp = f + pf0 + pf1, t + pt0 + pt1
+    pf0, pt0 = (kf - 1) // 2, (kt - 1) // 2
+    fp, tp = f + kf - 1, t + kt - 1
     rows = n * fp * tp
     s = -(-16 // max(cin, cout))
     taps = _band_taps(kt, s, w.dtype)
     nb, count = len(taps), -(-rows // s)
     # Zero rows after the grid, so that every band view is count super-rows long.
     tail = (kf - 1) * tp + nb * s - 1
-    xrows = np.zeros((rows + tail, cin), dtype=xd.dtype)
-    xrows[:rows].reshape(n, fp, tp, cin)[:, pf0:pf0 + f, pt0:pt0 + t, :] = xd
+    xrows = np.zeros((rows + tail, cin), dtype=x.dtype)
+    xrows[:rows].reshape(n, fp, tp, cin)[:, pf0:pf0 + f, pt0:pt0 + t, :] = x.data
     grid = _correlate(xrows, w, taps, tp, count)[:rows].reshape(n, fp, tp, cout)
-    y = grid[:, :of * sf:sf, :ot * st:st, :]
+    y = grid[:, :f, :t]
     y = y + bias.data if bias is not None else np.ascontiguousarray(y)
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    out = _node(y[0] if squeeze else y, inputs, "conv2d")
+    out = _node(y, inputs, "conv2d")
 
     if out.requires_grad:
         def backward(g):
-            gb = g[None] if squeeze else g
             if bias is not None and bias.requires_grad:
-                bias._accumulate(np.einsum("ij->j", gb.reshape(-1, cout)))
+                bias._accumulate(np.einsum("ij->j", g.reshape(-1, cout)))
             # The output gradient on the padded grid, after the zero rows that
             # turn the input gradient into a correlation.
             lead = (kf - 1) * tp + kt - 1
-            grows = np.zeros((lead + rows + tail, cout), dtype=gb.dtype)
-            ggrid = grows[lead:lead + rows].reshape(n, fp, tp, cout)
-            ggrid[:, :of * sf:sf, :ot * st:st, :] = gb
+            grows = np.zeros((lead + rows + tail, cout), dtype=g.dtype)
+            grows[lead:lead + rows].reshape(n, fp, tp, cout)[:, :f, :t] = g
             if kernel.requires_grad:
                 views = _band_views(xrows, kf, nb, s, tp, count)
                 gout = _super_rows(grows, lead, s, count)
@@ -568,55 +524,52 @@ def conv2d(x, kernel, bias=None, stride=(1, 1), padding="same"):
             if x.requires_grad:
                 wflip = w[::-1, ::-1].transpose(0, 1, 3, 2)
                 gxp = _correlate(grows, wflip, taps, tp, count)[:rows].reshape(n, fp, tp, cin)
-                gx = gxp[:, pf0:pf0 + f, pt0:pt0 + t, :]
-                x._accumulate(gx[0] if squeeze else gx)
+                x._accumulate(gxp[:, pf0:pf0 + f, pt0:pt0 + t, :])
         out._backward = backward
     return out
 
 
 def maxpool2d(x, window):
-    """Non-overlapping max pooling (stride = window); remainder cells dropped.
+    """Non-overlapping max pooling (stride = window) of (N, F, T, C) maps;
+    remainder cells dropped.
 
     The gradient routes to the argmax position of each window only.
     """
     x = as_tensor(x)
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    n, f, t, c = xd.shape
+    n, f, t, c = x.shape
     wf, wt = window
     if wf > f or wt > t:
         raise ShapeError(f"maxpool2d: window {window} larger than input ({f},{t})")
     of, ot = f // wf, t // wt
-    win = (xd[:, :of * wf, :ot * wt, :]
+    win = (x.data[:, :of * wf, :ot * wt, :]
            .reshape(n, of, wf, ot, wt, c)
            .transpose(0, 1, 3, 2, 4, 5)
            .reshape(n, of, ot, wf * wt, c))
     idx = win.argmax(axis=3)
     y = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    out = _node(y[0] if squeeze else y, (x,), "maxpool2d")
+    out = _node(y, (x,), "maxpool2d")
 
     if out.requires_grad:
         def backward(g):
-            gb = g[None] if squeeze else g
             gwin = np.zeros_like(win)
-            np.put_along_axis(gwin, idx[:, :, :, None, :], gb[:, :, :, None, :], axis=3)
-            gx = np.zeros_like(xd)
+            np.put_along_axis(gwin, idx[:, :, :, None, :], g[:, :, :, None, :], axis=3)
+            gx = np.zeros_like(x.data)
             gx[:, :of * wf, :ot * wt, :] = (gwin
                                             .reshape(n, of, ot, wf, wt, c)
                                             .transpose(0, 1, 3, 2, 4, 5)
                                             .reshape(n, of * wf, ot * wt, c))
-            x._accumulate(gx[0] if squeeze else gx)
+            x._accumulate(gx)
         out._backward = backward
     return out
 
 
-def avgpool_freq(x):
-    """Mean over the frequency axis of (..., F, T, C), keeping it as size 1."""
-    x = as_tensor(x)
-    return tensor_mean(x, axis=x.ndim - 3, keepdims=True)
-
-
 # -- batch normalization --------------------------------------------------------
+
+# Added to the variance under the square root, and the running statistics'
+# decay per train-mode call.
+BN_EPSILON = 1e-5
+BN_MOMENTUM = 0.9
+
 
 @dataclass
 class BatchNormState:
@@ -626,18 +579,14 @@ class BatchNormState:
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    epsilon: float = 1e-5
-    momentum: float = 0.9
 
     @classmethod
-    def create(cls, channels, epsilon=1e-5, momentum=0.9, dtype=np.float32):
+    def create(cls, channels, dtype=np.float32):
         return cls(
             gamma=Tensor(np.ones(channels, dtype=dtype), requires_grad=True),
             beta=Tensor(np.zeros(channels, dtype=dtype), requires_grad=True),
             running_mean=np.zeros(channels, dtype=dtype),
             running_var=np.ones(channels, dtype=dtype),
-            epsilon=epsilon,
-            momentum=momentum,
         )
 
 
@@ -672,7 +621,7 @@ def batchnorm(x, state, mode):
         mu = channel_sum(np.einsum("ij->j", x2)) / m
         xhat = x2 - np.tile(mu, lanes)
         var = channel_sum(np.einsum("ij,ij->j", xhat, xhat)) / m
-        k = state.momentum
+        k = BN_MOMENTUM
         state.running_mean = (k * state.running_mean
                               + (1.0 - k) * mu.astype(state.running_mean.dtype))
         state.running_var = (k * state.running_var
@@ -682,7 +631,7 @@ def batchnorm(x, state, mode):
         var = state.running_var.astype(x.dtype)
     else:
         raise ValueError(f"unknown batchnorm mode {mode!r}")
-    inv = 1.0 / np.sqrt(var + state.epsilon)
+    inv = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat *= np.tile(inv, lanes)
     y = xhat * np.tile(gamma.data, lanes) + np.tile(beta.data, lanes)
     out = _node(y.reshape(x.shape), (x, gamma, beta), "batchnorm")
@@ -794,40 +743,39 @@ def _gru_scan(x, w_x, w_h, b, reverse):
 
 
 def gru_bidirectional(x, params):
-    """Bidirectional GRU over (T, Din) or (N, T, Din) with zero initial state.
+    """Bidirectional GRU over (N, T, Din) with zero initial state.
 
     Output step t concatenates the forward state after consuming x[..t] with
-    the backward state after consuming x[t..], giving (..., T, 2H). Each
+    the backward state after consuming x[t..], giving (N, T, 2H). Each
     direction is one graph node (``_gru_scan``).
     """
     x = as_tensor(x)
-    squeeze = x.ndim == 2
-    xb = reshape(x, (1,) + x.shape) if squeeze else x
-    if xb.ndim != 3:
-        raise ShapeError(f"gru expects (T, Din) or (N, T, Din), got {x.shape}")
+    if x.ndim != 3:
+        raise ShapeError(f"gru expects (N, T, Din), got {x.shape}")
     for p in (params.fw, params.bw):
         h = p.hidden
-        if (p.w_x.shape != (xb.shape[2], 3 * h) or p.w_h.shape != (h, 3 * h)
+        if (p.w_x.shape != (x.shape[2], 3 * h) or p.w_h.shape != (h, 3 * h)
                 or p.b.shape != (3 * h,)):
-            raise ShapeError(f"gru: input width {xb.shape[2]} and packed shapes disagree: "
+            raise ShapeError(f"gru: input width {x.shape[2]} and packed shapes disagree: "
                              f"w_x {p.w_x.shape}, w_h {p.w_h.shape}, b {p.b.shape}")
-    out = concat([_gru_scan(xb, p.w_x, p.w_h, p.b, reverse)
-                  for p, reverse in ((params.fw, False), (params.bw, True))], axis=2)
-    return reshape(out, out.shape[1:]) if squeeze else out
+    return concat([_gru_scan(x, p.w_x, p.w_h, p.b, reverse)
+                   for p, reverse in ((params.fw, False), (params.bw, True))], axis=2)
 
 
 # -- loss -----------------------------------------------------------------------
 
-def cross_entropy(probs, targets, clamp=1e-7):
-    """Mean over the batch of -sum(target * log(prob)), on soft labels.
+# The floor of cross_entropy's log argument, so that confidently wrong
+# predictions give a finite loss.
+CE_PROB_FLOOR = 1e-7
 
-    The log argument is clamped below at ``clamp`` so confidently wrong
-    predictions stay finite.
-    """
+
+def cross_entropy(probs, targets):
+    """Mean over the batch of -sum(target * log(prob)), on soft labels, with
+    each prob clamped below at ``CE_PROB_FLOOR``."""
     probs = as_tensor(probs)
     targets = as_tensor(targets, dtype=probs.dtype)
     if probs.shape != targets.shape:
         raise ShapeError(f"cross_entropy: probs {probs.shape} != targets {targets.shape}")
-    logp = log(clamp_min(probs, clamp))
+    logp = log(clamp_min(probs, CE_PROB_FLOOR))
     per_row = tensor_sum(mul(targets, logp), axis=-1)
     return mul(tensor_mean(per_row), -1.0)

@@ -24,7 +24,7 @@ from .evaluate import EvalReport, ablate, ablation_to_csv, confusion_matrix, cro
 from .fdcheck import MODEL_TOLERANCE, OP_TOLERANCE, model_gradient_checks, op_gradient_checks
 from .features import compute_norm_stats
 from .model import build, load_state
-from .train import train
+from .train import train, training_split
 
 
 class _UsageError(Exception):
@@ -164,9 +164,7 @@ def _cmd_eval(args):
     dataset = _dataset(config)
     params = build(config.model, seed=config.train.seed)
     load_state(params, read_checkpoint(args.checkpoint))
-    use_aug = config.augment.copies_per_clip > 0
-    train_ds = dataset.subset(exclude_folds={args.fold}, include_augmented=use_aug)
-    stats = compute_norm_stats(train_ds.segments)
+    stats = compute_norm_stats(training_split(dataset, config.train, args.fold).segments)
     accuracy, predictions, truths = evaluate_fold(dataset, params, stats, args.fold)
     report = EvalReport(fold_accuracies={args.fold: accuracy}, mean_accuracy=accuracy,
                         confusion=confusion_matrix(predictions, truths, dataset.num_classes),

@@ -90,7 +90,6 @@ def op_gradient_checks(seed=0):
     p34 = _projector((3, 4), rng)
     run("add", lambda a, b: ad.tensor_sum(ad.mul(ad.add(a, b), p34)), x34, y34)
     run("mul", lambda a, b: ad.tensor_sum(ad.mul(ad.mul(a, b), p34)), x34, y34)
-    run("exp", lambda a: ad.tensor_sum(ad.mul(ad.exp(a), p34)), x34)
     run("log", lambda a: ad.tensor_sum(ad.mul(ad.log(a), p34)), np.abs(x34) + 0.5)
     run("clamp_min", lambda a: ad.tensor_sum(ad.mul(ad.clamp_min(a, 0.0), p34)),
         _away_from_zero(x34))
@@ -115,26 +114,18 @@ def op_gradient_checks(seed=0):
     run("dense", lambda a, w, b: ad.tensor_sum(ad.mul(ad.dense(a, w, b), pm)),
         rng.standard_normal((3, 4)), rng.standard_normal((4, 5)), rng.standard_normal(5))
 
-    pc = _projector((5, 6, 3), rng)
-    run("conv2d_same", lambda x, k, b: ad.tensor_sum(ad.mul(ad.conv2d(x, k, b, (1, 1), "same"), pc)),
-        rng.standard_normal((5, 6, 2)), rng.standard_normal((3, 3, 2, 3)) * 0.5,
-        rng.standard_normal(3))
-    pv = _projector((2, 2, 4, 3), rng)
-    run("conv2d_valid_strided",
-        lambda x, k, b: ad.tensor_sum(ad.mul(ad.conv2d(x, k, b, (2, 1), "valid"), pv)),
-        rng.standard_normal((2, 6, 6, 2)), rng.standard_normal((3, 3, 2, 3)) * 0.5,
-        rng.standard_normal(3))
-    pt = _projector((2, 5, 3, 3), rng)
-    run("conv2d_same_time_strided",
-        lambda x, k, b: ad.tensor_sum(ad.mul(ad.conv2d(x, k, b, (1, 2), "same"), pt)),
-        rng.standard_normal((2, 5, 6, 2)), rng.standard_normal((2, 4, 2, 3)) * 0.5,
-        rng.standard_normal(3))
+    pc = _projector((2, 5, 6, 3), rng)
+    for name, kernel_size in (("conv2d", (3, 3)), ("conv2d_even_kernel", (2, 4))):
+        run(name, lambda x, k, b: ad.tensor_sum(ad.mul(ad.conv2d(x, k, b), pc)),
+            rng.standard_normal((2, 5, 6, 2)), rng.standard_normal(kernel_size + (2, 3)) * 0.5,
+            rng.standard_normal(3))
 
     pp = _projector((2, 2, 3, 2), rng)
     run("maxpool2d", lambda x: ad.tensor_sum(ad.mul(ad.maxpool2d(x, (2, 2)), pp)),
         3.0 * rng.standard_normal((2, 4, 6, 2)))
     pa = _projector((2, 1, 5, 3), rng)
-    run("avgpool_freq", lambda x: ad.tensor_sum(ad.mul(ad.avgpool_freq(x), pa)),
+    run("mean_over_freq",
+        lambda x: ad.tensor_sum(ad.mul(ad.tensor_mean(x, axis=1, keepdims=True), pa)),
         rng.standard_normal((2, 4, 5, 3)))
 
     pb = _projector((6, 3, 4), rng)

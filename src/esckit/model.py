@@ -26,6 +26,7 @@ from .cachefile import CheckpointFormatError
 CONV_KERNELS = ((3, 5), (3, 5), (3, 1), (3, 1), (1, 5), (1, 5), (3, 3), (3, 3))
 POOLS = {2: (4, 3), 4: (4, 1), 6: (1, 3), 8: (2, 2)}
 PLACEMENTS = ("none", "l2", "l4", "l6", "l8", "l10")
+INIT_STD = 0.05  # standard deviation of every initial weight
 
 @dataclass
 class ACRNNConfig:
@@ -34,7 +35,6 @@ class ACRNNConfig:
     conv_channels: tuple = (32, 32, 64, 64, 128, 128, 256, 256)
     gru_hidden: int = 256
     dropout_p: float = 0.5
-    l2_coeff: float = 1e-4
     input_bands: int = 128
     input_frames: int = 128
     rnn_attention_form: str = "mlp"  # "mlp" (tanh hidden layer) or "linear" score
@@ -85,8 +85,8 @@ def _gru_layer(tensors, prefix, din, hidden, dtype):
     return BiGRUParams(fw=direction("fw"), bw=direction("bw"))
 
 
-def build(config, seed=0, std=0.05, dtype=np.float32):
-    """Construct ModelParams: weights ~ N(0, std^2), biases 0, BN gamma 1 / beta 0.
+def build(config, seed=0, dtype=np.float32):
+    """Construct ModelParams: weights ~ N(0, INIT_STD^2), biases 0, BN gamma 1 / beta 0.
 
     Two builds with the same seed are bitwise identical.
     """
@@ -137,17 +137,17 @@ def build(config, seed=0, std=0.05, dtype=np.float32):
 
     params = ModelParams(config=config, tensors=tensors, bn=bn, gru1=gru1, gru2=gru2,
                          weight_names=tuple(weight_names))
-    randomize_weights(params, std=std, seed=seed)
+    randomize_weights(params, seed=seed)
     return params
 
 
-def randomize_weights(params, std=0.05, seed=0):
-    """(Re)initialize in place: weights ~ N(0, std^2); biases 0; BN reset."""
+def randomize_weights(params, seed=0):
+    """(Re)initialize in place: weights ~ N(0, INIT_STD^2); biases 0; BN reset."""
     rng = np.random.default_rng(seed)
     weight_set = set(params.weight_names)
     for name, tensor in params.tensors.items():
         if name in weight_set:
-            tensor.data = rng.normal(0.0, std, size=tensor.shape).astype(tensor.dtype)
+            tensor.data = rng.normal(0.0, INIT_STD, size=tensor.shape).astype(tensor.dtype)
         elif name.endswith(".gamma"):
             tensor.data = np.ones(tensor.shape, dtype=tensor.dtype)
         else:
@@ -161,16 +161,13 @@ def randomize_weights(params, std=0.05, seed=0):
 # -- attention ------------------------------------------------------------------
 
 def cnn_attention_weights(m, kernel, bias):
-    """Per-frame attention map of a conv feature map: 3x3 conv to one channel,
-    frequency average-pool, softmax over time. Shape (..., 1, T, 1); sums to 1."""
-    scores = ad.conv2d(m, kernel, bias, (1, 1), "same")
-    pooled = ad.avgpool_freq(scores)
-    if pooled.ndim == 4:
-        n, _, t, _ = pooled.shape
-        weights = ad.softmax(ad.reshape(pooled, (n, t)))
-        return ad.reshape(weights, (n, 1, t, 1))
-    t = pooled.shape[1]
-    return ad.reshape(ad.softmax(ad.reshape(pooled, (t,))), (1, t, 1))
+    """Per-frame attention maps of (N, F, T, C) conv feature maps: 3x3 conv to
+    one channel, frequency average-pool, softmax over time. Shape (N, 1, T, 1);
+    each map sums to 1."""
+    scores = ad.conv2d(m, kernel, bias)
+    n, _, t, _ = scores.shape
+    pooled = ad.tensor_mean(scores, axis=1, keepdims=True)
+    return ad.reshape(ad.softmax(ad.reshape(pooled, (n, t))), (n, 1, t, 1))
 
 
 def cnn_attention(m, kernel, bias):
@@ -215,8 +212,7 @@ def forward(params, x, mode="infer", rng=None, trace=None):
 
     h = x
     for i in range(1, 9):
-        h = ad.conv2d(h, params.tensors[f"conv{i}.kernel"], params.tensors[f"conv{i}.bias"],
-                      (1, 1), "same")
+        h = ad.conv2d(h, params.tensors[f"conv{i}.kernel"], params.tensors[f"conv{i}.bias"])
         h = ad.batchnorm(h, params.bn[f"bn{i}"], mode)
         h = ad.relu(h)
         if i in POOLS:
@@ -253,18 +249,6 @@ def shape_trace(params):
     dummy = np.zeros((1, cfg.input_bands, cfg.input_frames, 2), dtype=np.float32)
     forward(params, dummy, mode="infer", trace=trace)
     return trace
-
-
-def regularization_loss(params, l2_coeff=None):
-    """coeff * sum of squared entries over weight tensors (biases and batch-norm
-    scale/shift excluded)."""
-    coeff = params.config.l2_coeff if l2_coeff is None else l2_coeff
-    total = None
-    for name in params.weight_names:
-        w = params.tensors[name]
-        s = ad.tensor_sum(ad.mul(w, w))
-        total = s if total is None else ad.add(total, s)
-    return ad.mul(total, float(coeff))
 
 
 # -- checkpoint state (the ACRN codec is in cachefile) --------------------------

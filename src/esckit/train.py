@@ -134,6 +134,26 @@ def mix_batch(xb, yb, alpha, rng):
                                         sample_lambda(alpha, rng))
 
 
+def training_split(dataset, config, held_out_fold):
+    """The segments that train the model for ``held_out_fold`` and give its
+    normalization statistics: every other fold's, augmented copies included
+    iff the augment config makes them (``copies_per_clip > 0``)."""
+    use_aug = config.augmentation.copies_per_clip > 0
+    return dataset.subset(exclude_folds={held_out_fold}, include_augmented=use_aug)
+
+
+def _train_step(params, opt, xb, yb, lr, config, rng):
+    """One SGD step on a batch: (loss, predicted class per row). The step's
+    graph is unreachable once this returns, so it is freed before the next
+    step's forward builds another."""
+    probs = acrnn.forward(params, xb, mode="train", rng=rng)
+    loss = ad.cross_entropy(probs, ad.Tensor(yb))
+    _zero_grads(params)
+    loss.backward()
+    sgd_nesterov_step(params, opt, lr, config.momentum, config.l2_coeff)
+    return loss.item(), probs.data.argmax(axis=1)
+
+
 def epoch_batches(n, batch_size, rng):
     """Batch index arrays for one epoch: a fresh shuffle cut into batch_size
     chunks, so every index appears exactly once; the last chunk may be short."""
@@ -153,8 +173,7 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
     """
     from .evaluate import predict_clips  # local import; evaluate builds on train
 
-    use_aug = config.augmentation.copies_per_clip > 0
-    train_ds = dataset.subset(exclude_folds={held_out_fold}, include_augmented=use_aug)
+    train_ds = training_split(dataset, config, held_out_fold)
     if not len(train_ds):
         raise ValueError(f"no training segments outside fold {held_out_fold}")
     val_clips = dataset.clips(fold=held_out_fold, include_augmented=False)
@@ -195,13 +214,9 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
             yb = one_hot(labels[idx], k)
             if mixup_on:
                 mix_batch(xb, yb, alpha, rng_mixup)
-            probs = acrnn.forward(params, xb, mode="train", rng=rng_dropout)
-            loss = ad.cross_entropy(probs, ad.Tensor(yb))
-            _zero_grads(params)
-            loss.backward()
-            sgd_nesterov_step(params, opt, lr, config.momentum, config.l2_coeff)
-            loss_sum += loss.item() * len(idx)
-            correct += int((probs.data.argmax(axis=1) == labels[idx]).sum())
+            loss, predicted = _train_step(params, opt, xb, yb, lr, config, rng_dropout)
+            loss_sum += loss * len(idx)
+            correct += int((predicted == labels[idx]).sum())
             seen += len(idx)
 
         if epoch_ids & held_out_ids:

@@ -43,6 +43,9 @@ model.conv_channels = 2,2,3,3,4,4,5,5
     def test_unknown_key_rejected(self):
         with pytest.raises(cfg.ConfigError, match="train.lr_zero"):
             cfg.parse_config("train.lr_zero = 0.1\n")
+        # weight decay is train.l2_coeff alone; the model carries no copy of it
+        with pytest.raises(cfg.ConfigError, match="model.l2_coeff"):
+            cfg.parse_config("model.l2_coeff = 0\n")
         with pytest.raises(cfg.ConfigError, match="no section"):
             cfg.parse_config("epochs = 5\n")
         with pytest.raises(cfg.ConfigError, match="key = value"):
@@ -133,6 +136,8 @@ class TestCli:
                          "--report", str(report)]) == 0
         lines = report.read_text().splitlines()
         assert lines[0] == "fold,accuracy" and lines[1].startswith("2,")
+        last_val_acc = (out / "history.csv").read_text().splitlines()[-1].split(",")[4]
+        assert float(lines[1].split(",")[1]) == float(last_val_acc)
 
         cv_report = tmp_path / "cv.csv"
         assert cli.main(["cv", "--config", str(config_path),

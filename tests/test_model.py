@@ -5,7 +5,8 @@ from esckit import autodiff as ad
 from esckit import cachefile as cf
 from esckit import model as acrnn
 from esckit.autodiff import ShapeError, Tensor
-from esckit.fdcheck import MODEL_TOLERANCE, model_gradient_checks
+from esckit.data import one_hot
+from esckit.fdcheck import MODEL_TOLERANCE, model_gradient_checks, op_gradient_checks
 
 PAPER_TRACE = [
     ("l2-pool", (32, 42, 32)),
@@ -84,7 +85,7 @@ class TestForward:
 
 class TestCnnAttention:
     def _setup(self, rng):
-        m = Tensor(rng.standard_normal((5, 6, 3)).astype(np.float32))
+        m = Tensor(rng.standard_normal((2, 5, 6, 3)).astype(np.float32))
         kernel = Tensor(0.3 * rng.standard_normal((3, 3, 3, 1)).astype(np.float32))
         bias = Tensor(np.zeros(1, np.float32))
         return m, kernel, bias
@@ -94,12 +95,12 @@ class TestCnnAttention:
         for _ in range(10):
             m, kernel, bias = self._setup(rng)
             a = acrnn.cnn_attention_weights(m, kernel, bias).data
-            assert a.shape == (1, 6, 1)
-            assert abs(a.sum() - 1.0) <= 1e-6
+            assert a.shape == (2, 1, 6, 1)
+            assert np.all(np.abs(a.sum(axis=(1, 2, 3)) - 1.0) <= 1e-6)
 
     def test_zero_kernel_gives_uniform_map(self):
         rng = np.random.default_rng(4)
-        m = Tensor(rng.standard_normal((4, 8, 2)).astype(np.float32))
+        m = Tensor(rng.standard_normal((1, 4, 8, 2)).astype(np.float32))
         kernel = Tensor(np.zeros((3, 3, 2, 1), np.float32))
         bias = Tensor(np.zeros(1, np.float32))
         out = acrnn.cnn_attention(m, kernel, bias).data
@@ -109,8 +110,6 @@ class TestCnnAttention:
         rng = np.random.default_rng(5)
         m, kernel, bias = self._setup(rng)
         assert acrnn.cnn_attention(m, kernel, bias).shape == m.shape
-        batched = Tensor(rng.standard_normal((3, 5, 6, 3)).astype(np.float32))
-        assert acrnn.cnn_attention(batched, kernel, bias).shape == batched.shape
 
 
 class TestRnnAttention:
@@ -176,9 +175,9 @@ class TestRnnAttention:
                                 Tensor(rng.standard_normal((hidden, 3 * hidden)), dtype=np.float32),
                                 Tensor(rng.standard_normal(3 * hidden), dtype=np.float32))
         gru = BiGRUParams(fw=direction(), bw=direction())
-        x = rng.standard_normal((t_len, din)).astype(np.float32)
-        h = gru_bidirectional(Tensor(x), gru).data
-        h_shuffled = gru_bidirectional(Tensor(x[rng.permutation(t_len)]), gru).data
+        x = rng.standard_normal((1, t_len, din)).astype(np.float32)
+        h = gru_bidirectional(Tensor(x), gru).data[0]
+        h_shuffled = gru_bidirectional(Tensor(x[:, rng.permutation(t_len)]), gru).data[0]
         v = acrnn.rnn_attention(Tensor(h), params).data
         v_shuffled = acrnn.rnn_attention(Tensor(h_shuffled), params).data
         # the recurrence is order-sensitive, so the pooled vector moves...
@@ -189,33 +188,21 @@ class TestRnnAttention:
             assert np.all(vec <= steps.max(axis=0) + 1e-6)
 
 
-class TestRegularizationLoss:
-    def test_zero_weights_give_zero(self):
-        params = acrnn.build(tiny_config(), seed=0)
-        for name in params.weight_names:
-            params.tensors[name].data[:] = 0.0
-        assert acrnn.regularization_loss(params).item() == 0.0
+# Graph node ops whose finite-difference row has another name.
+FD_ROW_OF_OP = {"gru": "gru_bidirectional"}
 
-    def test_single_tensor_hand_value(self):
-        params = acrnn.build(tiny_config(), seed=0)
-        for name in params.weight_names:
-            params.tensors[name].data[:] = 0.0
-        params.tensors["fc.weight"].data.flat[:2] = [3.0, 4.0]
-        assert acrnn.regularization_loss(params, 1e-4).item() == pytest.approx(25e-4, rel=1e-6)
 
-    def test_doubling_weights_quadruples(self):
-        params = acrnn.build(tiny_config(), seed=12)
-        base = acrnn.regularization_loss(params).item()
-        for name in params.weight_names:
-            params.tensors[name].data *= 2.0
-        assert acrnn.regularization_loss(params).item() == pytest.approx(4.0 * base, rel=1e-5)
-
-    def test_biases_and_bn_excluded(self):
-        params = acrnn.build(tiny_config(), seed=13)
-        base = acrnn.regularization_loss(params).item()
-        params.tensors["conv1.bias"].data[:] = 100.0
-        params.tensors["bn3.gamma"].data[:] = 50.0
-        assert acrnn.regularization_loss(params).item() == pytest.approx(base, rel=1e-6)
+def test_every_op_of_a_train_step_has_a_finite_difference_row():
+    rows = set(op_gradient_checks())
+    x = np.random.default_rng(0).standard_normal((2, 32, 32, 2)).astype(np.float32)
+    for placement in acrnn.PLACEMENTS:
+        params = acrnn.build(tiny_config(attention_placement=placement), seed=0)
+        probs = acrnn.forward(params, x, mode="train", rng=np.random.default_rng(1))
+        loss = ad.cross_entropy(probs, Tensor(one_hot([0, 2], 3)))
+        ops = {n._op for n in loss._topo_order() if n._prev}
+        assert "conv2d" in ops and "gru" in ops, placement
+        missing = {op for op in ops if FD_ROW_OF_OP.get(op, op) not in rows}
+        assert not missing, (placement, missing)
 
 
 class TestCheckpoint:

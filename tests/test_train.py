@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,17 @@ class TestSgdNesterovStep:
         assert state.velocities["fc.weight"].flat[0] == pytest.approx(v_new, abs=1e-6)
         assert w.data.flat[0] == pytest.approx(1.0 + 0.9 * v_new - 0.1 * 2.0, abs=1e-6)
 
+    def test_weight_decay_skips_biases_and_batch_norm(self):
+        params, w = self._one_param(1.0, 0.0)
+        exempt = ("conv1.bias", "bn1.gamma", "bn1.beta", "fc.bias")
+        for name in exempt:
+            params.tensors[name].data[:] = 100.0
+        state = tr.OptimizerState.create(params)
+        tr.sgd_nesterov_step(params, state, lr=0.1, momentum=0.0, l2_coeff=1e-2)
+        for name in exempt:
+            assert np.all(params.tensors[name].data == 100.0)
+        assert w.data.flat[0] == pytest.approx(1.0 - 0.1 * 1e-2, abs=1e-7)
+
     def test_missing_gradient_raises(self):
         params = acrnn.build(tiny_model_config(), seed=0)
         state = tr.OptimizerState.create(params)
@@ -91,7 +104,7 @@ class TestSgdNesterovStep:
 class TestInitWeights:
     def test_gaussian_statistics(self):
         params = acrnn.build(acrnn.ACRNNConfig(num_classes=50), seed=0)
-        acrnn.randomize_weights(params, std=0.05, seed=123)
+        acrnn.randomize_weights(params, seed=123)
         w = params.tensors["gru1.fw.w_x"].data  # 1024 x 768 entries
         assert w.size >= 10_000
         assert abs(w.mean()) < 0.002
@@ -224,6 +237,23 @@ class TestTrain:
         strip = lambda text: [line.rsplit(",", 1)[0] for line in text.splitlines()]
         assert strip((tmp_path / "a" / "history.csv").read_text()) == \
                strip((tmp_path / "b" / "history.csv").read_text())
+
+    def test_previous_step_graph_is_dropped_before_the_next_forward(self, monkeypatch):
+        # probs.data is referenced only by the step's graph, so it lives as
+        # long as any of that graph does
+        real_forward, previous, alive = acrnn.forward, [], []
+        def forward(params, x, mode="infer", **kwargs):
+            out = real_forward(params, x, mode=mode, **kwargs)
+            if mode == "train":
+                if previous:
+                    alive.append(previous[-1]() is not None)
+                previous.append(weakref.ref(out.data))
+            return out
+        monkeypatch.setattr(acrnn, "forward", forward)
+        dataset = make_segment_dataset(n_clips=20)
+        tr.train(dataset, quick_config(epochs=2, batch_size=8), tiny_model_config(),
+                 held_out_fold=1)
+        assert len(alive) >= 3 and not any(alive)
 
     def test_micro_overfit_fits_training_set(self):
         # trainability smoke at toy width; the full-scale probe lives in the
