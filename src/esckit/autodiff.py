@@ -10,13 +10,19 @@ them: elementwise arithmetic, matmul, reshape/transpose/slicing/concat,
 reductions, activations, softmax, stride-1 "same" 2-D convolution and
 non-overlapping max pooling on batched (N, F, T, C) channel-last maps, batch
 normalization, dropout, a bidirectional GRU over batched (N, T, D)
-sequences, and cross-entropy on probabilities. Batch normalization and each
-GRU direction are single graph nodes with closed-form backward passes, so a
-step's graph does not grow with the sequence length. Convolution is one node
-too, with no patch buffer: GEMMs of the flattened padded input, regrouped
-into super-rows of S = ceil(16 / max(Cin, Cout)) grid positions, against
-banded weight blocks built from the kernel, so narrow layers run a few wide
-GEMMs and layers of 16 channels or more (S = 1) run one GEMM per kernel tap.
+sequences, and cross-entropy on probabilities. Convolution has no patch
+buffer: GEMMs of the flattened padded input, regrouped into super-rows of
+S = ceil(16 / max(Cin, Cout)) grid positions, against banded weight blocks
+built from the kernel, so narrow layers run a few wide GEMMs and layers of
+16 channels or more (S = 1) run one GEMM per kernel tap.
+
+The network's conv blocks (conv -> batch-norm -> ReLU -> optional max-pool)
+are one graph node each (``conv_block``), and so is each GRU direction, both
+with closed-form backward passes, so a step's graph does not grow with the
+sequence length. A block keeps only the conv's padded input, the normalized
+conv output and its own (pooled) output with a uint8 window code per cell;
+the separate ``conv2d``, ``batchnorm``, ``relu`` and ``maxpool2d`` ops stay
+as its reference and for the CNN attention's scoring conv.
 """
 
 from __future__ import annotations
@@ -451,6 +457,86 @@ def _correlate(src, w, taps, tp, count):
     return out.reshape(count * s, cout)
 
 
+class _ConvLayout:
+    """Geometry of a stride-1 "same" conv of (n, f, t, cin) maps with a
+    (kf, kt, cin, cout) kernel on the flattened padded grid (see ``conv2d``)."""
+
+    def __init__(self, x_shape, kernel_shape, dtype):
+        n, f, t, cin = x_shape
+        kf, kt, _, cout = kernel_shape
+        self.x_shape, self.kernel_shape = x_shape, kernel_shape
+        self.pf0, self.pt0 = (kf - 1) // 2, (kt - 1) // 2
+        self.fp, self.tp = f + kf - 1, t + kt - 1
+        self.rows = n * self.fp * self.tp
+        self.s = -(-16 // max(cin, cout))
+        self.taps = _band_taps(kt, self.s, dtype)
+        self.nb, self.count = len(self.taps), -(-self.rows // self.s)
+        # Zero rows after the grid, so that every band view is count super-rows
+        # long, and before the output gradient, so that the input gradient is a
+        # correlation too.
+        self.tail = (kf - 1) * self.tp + self.nb * self.s - 1
+        self.lead = (kf - 1) * self.tp + kt - 1
+
+    def pad(self, x):
+        """The zero-padded input as flattened (rows + tail, cin) rows."""
+        n, f, t, cin = x.shape
+        xrows = np.zeros((self.rows + self.tail, cin), dtype=x.dtype)
+        xrows[:self.rows].reshape(n, self.fp, self.tp, cin)[
+            :, self.pf0:self.pf0 + f, self.pt0:self.pt0 + t, :] = x
+        return xrows
+
+    def grid(self, rows, w):
+        """The correlation of padded rows with w at every padded-grid position,
+        as (n, fp, tp, cout); the "same" output is its [:, :f, :t]."""
+        n = self.x_shape[0]
+        out = _correlate(rows, w, self.taps, self.tp, self.count)
+        return out[:self.rows].reshape(n, self.fp, self.tp, w.shape[3])
+
+    def grad_rows(self, dtype):
+        """Zeroed output-gradient rows and their (n, fp, tp, cout) grid view;
+        the caller writes the output gradient into the view's [:, :f, :t]."""
+        n, cout = self.x_shape[0], self.kernel_shape[3]
+        grows = np.zeros((self.lead + self.rows + self.tail, cout), dtype=dtype)
+        return grows, grows[self.lead:self.lead + self.rows].reshape(n, self.fp, self.tp, cout)
+
+    def backward(self, x, kernel, xrows, grows):
+        """Accumulate the kernel and input gradients from the output gradient
+        that ``grad_rows`` holds. The kernel gradient is the per-band GEMMs of
+        the input views against the output gradient, folded back along the
+        band diagonals; the input gradient is the correlation of the
+        gradient rows with the flipped, channel-swapped kernel."""
+        n, f, t, cin = self.x_shape
+        kf, _, _, cout = self.kernel_shape
+        s, nb, count, w = self.s, self.nb, self.count, kernel.data
+        if kernel.requires_grad:
+            views = _band_views(xrows, kf, nb, s, self.tp, count)
+            gout = _super_rows(grows, self.lead, s, count)
+            gbands = np.zeros((kf * nb, s * cin, s * cout), dtype=w.dtype)
+            block = max(1, _BLOCK_BYTES // (s * (cin + cout) * gout.itemsize))
+            for lo in range(0, count, block):
+                go = gout[lo:lo + block]
+                for gband, v in zip(gbands, views):
+                    gband += v[lo:lo + block].T @ go
+            gbands = gbands.reshape(kf, nb, s, cin, s, cout)
+            kernel._accumulate(np.einsum("ajrioc,jrob->abic", gbands, self.taps))
+        if x.requires_grad:
+            gxp = self.grid(grows, w[::-1, ::-1].transpose(0, 1, 3, 2))
+            x._accumulate(gxp[:, self.pf0:self.pf0 + f, self.pt0:self.pt0 + t, :])
+
+
+def _conv_operands(op, x, kernel, bias):
+    x, kernel = as_tensor(x), as_tensor(kernel)
+    if x.ndim != 4 or kernel.ndim != 4:
+        raise ShapeError(f"{op} expects 4-d input and kernel, got {x.shape}, {kernel.shape}")
+    cin, (kcin, cout) = x.shape[3], kernel.shape[2:]
+    if kcin != cin:
+        raise ShapeError(f"{op}: input channels {cin} != kernel channels {kcin}")
+    bias = as_tensor(bias) if bias is not None else None
+    if bias is not None and bias.shape != (cout,):
+        raise ShapeError(f"{op}: bias shape {bias.shape} != ({cout},)")
+    return x, kernel, bias, _ConvLayout(x.shape, kernel.shape, kernel.dtype)
+
+
 def conv2d(x, kernel, bias=None):
     """Stride-1 "same" 2-D correlation over batched channel-last maps.
 
@@ -473,30 +559,10 @@ def conv2d(x, kernel, bias=None):
     is the same correlation of the output gradient, led by (kf-1)*Tp + kt-1
     zero rows, with the flipped, channel-swapped kernel.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
-    if x.ndim != 4 or kernel.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape}, {kernel.shape}")
-    n, f, t, cin = x.shape
-    kf, kt, kcin, cout = kernel.shape
-    if kcin != cin:
-        raise ShapeError(f"conv2d: input channels {cin} != kernel channels {kcin}")
-    bias = as_tensor(bias) if bias is not None else None
-    if bias is not None and bias.shape != (cout,):
-        raise ShapeError(f"conv2d: bias shape {bias.shape} != ({cout},)")
-
-    w = kernel.data
-    pf0, pt0 = (kf - 1) // 2, (kt - 1) // 2
-    fp, tp = f + kf - 1, t + kt - 1
-    rows = n * fp * tp
-    s = -(-16 // max(cin, cout))
-    taps = _band_taps(kt, s, w.dtype)
-    nb, count = len(taps), -(-rows // s)
-    # Zero rows after the grid, so that every band view is count super-rows long.
-    tail = (kf - 1) * tp + nb * s - 1
-    xrows = np.zeros((rows + tail, cin), dtype=x.dtype)
-    xrows[:rows].reshape(n, fp, tp, cin)[:, pf0:pf0 + f, pt0:pt0 + t, :] = x.data
-    grid = _correlate(xrows, w, taps, tp, count)[:rows].reshape(n, fp, tp, cout)
-    y = grid[:, :f, :t]
+    x, kernel, bias, layout = _conv_operands("conv2d", x, kernel, bias)
+    n, f, t, _ = x.shape
+    xrows = layout.pad(x.data)
+    y = layout.grid(xrows, kernel.data)[:, :f, :t]
     y = y + bias.data if bias is not None else np.ascontiguousarray(y)
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
     out = _node(y, inputs, "conv2d")
@@ -504,27 +570,10 @@ def conv2d(x, kernel, bias=None):
     if out.requires_grad:
         def backward(g):
             if bias is not None and bias.requires_grad:
-                bias._accumulate(np.einsum("ij->j", g.reshape(-1, cout)))
-            # The output gradient on the padded grid, after the zero rows that
-            # turn the input gradient into a correlation.
-            lead = (kf - 1) * tp + kt - 1
-            grows = np.zeros((lead + rows + tail, cout), dtype=g.dtype)
-            grows[lead:lead + rows].reshape(n, fp, tp, cout)[:, :f, :t] = g
-            if kernel.requires_grad:
-                views = _band_views(xrows, kf, nb, s, tp, count)
-                gout = _super_rows(grows, lead, s, count)
-                gbands = np.zeros((kf * nb, s * cin, s * cout), dtype=w.dtype)
-                block = max(1, _BLOCK_BYTES // (s * (cin + cout) * gout.itemsize))
-                for lo in range(0, count, block):
-                    go = gout[lo:lo + block]
-                    for gband, v in zip(gbands, views):
-                        gband += v[lo:lo + block].T @ go
-                gbands = gbands.reshape(kf, nb, s, cin, s, cout)
-                kernel._accumulate(np.einsum("ajrioc,jrob->abic", gbands, taps))
-            if x.requires_grad:
-                wflip = w[::-1, ::-1].transpose(0, 1, 3, 2)
-                gxp = _correlate(grows, wflip, taps, tp, count)[:rows].reshape(n, fp, tp, cin)
-                x._accumulate(gxp[:, pf0:pf0 + f, pt0:pt0 + t, :])
+                bias._accumulate(np.einsum("ij->j", g.reshape(-1, g.shape[-1])))
+            grows, ggrid = layout.grad_rows(g.dtype)
+            ggrid[:, :f, :t] = g
+            layout.backward(x, kernel, xrows, grows)
         out._backward = backward
     return out
 
@@ -590,6 +639,12 @@ class BatchNormState:
         )
 
 
+def _fold_running_stats(state, mean, var):
+    k = BN_MOMENTUM
+    state.running_mean = k * state.running_mean + (1.0 - k) * mean.astype(state.running_mean.dtype)
+    state.running_var = k * state.running_var + (1.0 - k) * var.astype(state.running_var.dtype)
+
+
 def batchnorm(x, state, mode):
     """Normalize over every axis except the trailing channel axis.
 
@@ -621,11 +676,7 @@ def batchnorm(x, state, mode):
         mu = channel_sum(np.einsum("ij->j", x2)) / m
         xhat = x2 - np.tile(mu, lanes)
         var = channel_sum(np.einsum("ij,ij->j", xhat, xhat)) / m
-        k = BN_MOMENTUM
-        state.running_mean = (k * state.running_mean
-                              + (1.0 - k) * mu.astype(state.running_mean.dtype))
-        state.running_var = (k * state.running_var
-                             + (1.0 - k) * var.astype(state.running_var.dtype))
+        _fold_running_stats(state, mu, var)
     elif mode == "infer":
         xhat = x2 - np.tile(state.running_mean.astype(x.dtype), lanes)
         var = state.running_var.astype(x.dtype)
@@ -655,6 +706,145 @@ def batchnorm(x, state, mode):
                 else:
                     gx = g2 * scale
                 x._accumulate(gx.reshape(x.shape))
+        out._backward = backward
+    return out
+
+
+# -- fused conv block -----------------------------------------------------------
+
+def _pool_lanes(z, window, c):
+    """Non-overlapping (wf, wt) window maxima of (n, f, t*c) lanes z, remainder
+    cells dropped, as channel-major (n, of, c, ot) values and uint8 codes
+    r*wt + k of each window's first maximum in row-major window order (the
+    position ``maxpool2d``'s argmax picks).
+
+    The window rows are pooled on full lanes, keeping the first maximal row r
+    per column by arithmetic. The columns are then pooled on a channel-major
+    copy of the row maxima, and among the columns that reach the peak the
+    smallest code wins, which is the first maximum in row-major order.
+    """
+    n, f, lanes = z.shape
+    wf, wt = window
+    of, ot = f // wf, lanes // (c * wt)
+    z = z[:, :of * wf].reshape(n, of, wf, lanes)[..., :ot * wt * c]
+    best = z[:, :, 0].copy()
+    row = np.zeros(best.shape, dtype=np.uint8)
+    for r in range(1, wf):
+        v = z[:, :, r]
+        np.maximum(row, (v > best).view(np.uint8) * np.uint8(r), out=row)
+        np.maximum(best, v, out=best)
+    # (n, of, k, c, ot): each window column k is one contiguous slab.
+    cols, row = (a.reshape(n, of, ot, wt, c).transpose(0, 1, 3, 4, 2).copy() for a in (best, row))
+    peak = cols.max(axis=2)
+    code = np.full(peak.shape, 255, dtype=np.uint8)
+    for k in range(wt):
+        cand = row[:, :, k] * np.uint8(wt) + np.uint8(k)
+        cand |= (cols[:, :, k] != peak).view(np.uint8) * np.uint8(255)
+        np.minimum(code, cand, out=code)
+    return peak, code
+
+
+def _window_positions(code, window, grid_shape, start=0):
+    """(n, of, ot, c) flat positions of the window maxima that (n, of, c, ot)
+    ``code`` marks, in a C-contiguous array holding an (n, f, t, c) grid from
+    element ``start``."""
+    n, of, c, ot = code.shape
+    wf, wt = window
+    _, f, t, _ = grid_shape
+    r, k = np.divmod(np.arange(wf * wt), wt)
+    corner = (start + np.arange(n)[:, None, None, None] * (f * t * c)
+              + np.arange(of)[:, None, None] * (wf * t * c)
+              + np.arange(c)[:, None] + np.arange(ot) * (wt * c))
+    return (corner + ((r * t + k) * c)[code]).transpose(0, 1, 3, 2)
+
+
+def conv_block(x, kernel, bias, bn_state, mode, window=None):
+    """relu(batchnorm(conv2d(x, kernel, bias))), max-pooled over ``window``
+    when one is given, as one graph node.
+
+    Equal to ``maxpool2d(relu(batchnorm(conv2d(...), bn_state, mode)), window)``
+    up to summation order, with the same running-statistics update. The
+    batch-norm statistics, x_hat, the affine map and the pooling run on
+    (rows, T*C) lane views of the conv's padded output grid, which the
+    batch-norm output overwrites. The bias is folded into the batch norm: in
+    train mode it cancels in x_hat and only shifts the running mean, so its
+    gradient is exactly 0; in infer mode it is subtracted from the running
+    mean. Max commutes with the monotone ReLU, so the ReLU runs on the pooled
+    map. Backward keeps the padded input rows, x_hat, and the output with a
+    uint8 window code per pooled cell, and writes the batch-norm input
+    gradient straight into the conv's padded gradient rows.
+    """
+    x, kernel, bias, layout = _conv_operands("conv_block", x, kernel, bias)
+    gamma, beta = bn_state.gamma, bn_state.beta
+    n, f, t, _ = x.shape
+    c = kernel.shape[3]
+    if gamma.shape != (c,):
+        raise ShapeError(f"conv_block: channels {c} != state channels {gamma.shape[0]}")
+    if window is not None and (window[0] > f or window[1] > t):
+        raise ShapeError(f"conv_block: window {window} larger than input ({f},{t})")
+    lanes, m = t * c, n * f * t
+
+    def tile(v):
+        return np.tile(v, t)
+
+    def channel_sum(lane_sums):
+        return lane_sums.reshape(-1, c).sum(axis=0)
+
+    xrows = layout.pad(x.data)
+    z = layout.grid(xrows, kernel.data)[:, :f].reshape(n, f, -1)[:, :, :lanes]
+    if mode == "train":
+        mu = channel_sum(np.einsum("nfl->l", z)) / m
+        xhat = z - tile(mu)
+        var = channel_sum(np.einsum("nfl,nfl->l", xhat, xhat)) / m
+        _fold_running_stats(bn_state, mu + bias.data, var)
+    elif mode == "infer":
+        xhat = z - tile(bn_state.running_mean.astype(z.dtype) - bias.data)
+        var = bn_state.running_var.astype(z.dtype)
+    else:
+        raise ValueError(f"unknown batchnorm mode {mode!r}")
+    inv = 1.0 / np.sqrt(var + BN_EPSILON)
+    xhat *= tile(inv)
+    np.multiply(xhat, tile(gamma.data), out=z)
+    z += tile(beta.data)
+    if window is None:
+        y = np.maximum(z, 0.0).reshape(n, f, t, c)
+    else:
+        peak, code = _pool_lanes(z, window, c)
+        y = np.empty((n, peak.shape[1], peak.shape[3], c), dtype=peak.dtype)
+        np.maximum(peak.transpose(0, 1, 3, 2), 0.0, out=y)
+    out = _node(y, (x, kernel, bias, gamma, beta), "conv_block")
+
+    if out.requires_grad:
+        def backward(g):
+            gy = g * (y > 0.0)
+            # Row sums into lanes first, as batchnorm does, so that each
+            # float32 sum runs over few terms.
+            rows = gy.reshape(gy.shape[0] * gy.shape[1], -1)
+            if window is None:
+                hat = xhat.reshape(rows.shape)
+            else:
+                hat = xhat.reshape(-1)[_window_positions(code, window, x.shape[:3] + (c,))]
+            gsum = channel_sum(np.einsum("ij->j", rows))
+            gdot = channel_sum(np.einsum("ij,ij->j", rows, hat.reshape(rows.shape)))
+            scale = gamma.data * inv
+            if gamma.requires_grad:
+                gamma._accumulate(gdot)
+            if beta.requires_grad:
+                beta._accumulate(gsum)
+            if bias.requires_grad:
+                bias._accumulate(np.zeros_like(gsum) if mode == "train" else gsum * scale)
+            grows, ggrid = layout.grad_rows(g.dtype)
+            gz = ggrid[:, :f].reshape(n, f, -1)[:, :, :lanes]
+            if mode == "train":
+                np.multiply(xhat, tile(-scale * gdot / m), out=gz)
+                gz += tile(-scale * gsum / m)
+            rows *= np.tile(scale, rows.shape[1] // c)
+            if window is None:
+                gz += rows.reshape(gz.shape)
+            else:
+                pos = _window_positions(code, window, ggrid.shape, start=layout.lead * c)
+                grows.reshape(-1)[pos] += rows.reshape(pos.shape)
+            layout.backward(x, kernel, xrows, grows)
         out._backward = backward
     return out
 

@@ -145,6 +145,18 @@ def op_gradient_checks(seed=0):
         rng.standard_normal((6, 3, 4)), 1.0 + 0.1 * rng.standard_normal(4),
         0.1 * rng.standard_normal(4))
 
+    pk, pki = _projector((2, 2, 2, 3), rng), _projector((2, 5, 7, 3), rng)
+    block_stats = 0.3 * rng.standard_normal(3), 0.5 + rng.uniform(size=3)
+    for name, mode, window, proj in (("conv_block", "train", (2, 3), pk),
+                                     ("conv_block_infer", "infer", None, pki)):
+        def block_builder(x, k, b, gamma, beta, mode=mode, window=window, proj=proj):
+            state = BatchNormState(gamma=gamma, beta=beta, running_mean=block_stats[0],
+                                   running_var=block_stats[1])
+            return ad.tensor_sum(ad.mul(ad.conv_block(x, k, b, state, mode, window), proj))
+        run(name, block_builder,
+            rng.standard_normal((2, 5, 7, 2)), rng.standard_normal((3, 3, 2, 3)) * 0.5,
+            rng.standard_normal(3), np.array([1.2, -0.8, 0.9]), 0.5 + 0.1 * rng.standard_normal(3))
+
     pd = _projector((4, 5), rng)
     def dropout_builder(x):
         return ad.tensor_sum(ad.mul(ad.dropout(x, 0.4, "train", np.random.default_rng(7)), pd))

@@ -212,11 +212,9 @@ def forward(params, x, mode="infer", rng=None, trace=None):
 
     h = x
     for i in range(1, 9):
-        h = ad.conv2d(h, params.tensors[f"conv{i}.kernel"], params.tensors[f"conv{i}.bias"])
-        h = ad.batchnorm(h, params.bn[f"bn{i}"], mode)
-        h = ad.relu(h)
+        h = ad.conv_block(h, params.tensors[f"conv{i}.kernel"], params.tensors[f"conv{i}.bias"],
+                          params.bn[f"bn{i}"], mode, POOLS.get(i))
         if i in POOLS:
-            h = ad.maxpool2d(h, POOLS[i])
             if cfg.attention_placement == f"l{i}":
                 h = cnn_attention(h, params.tensors["att.kernel"], params.tensors["att.bias"])
             if trace is not None:

@@ -6,6 +6,7 @@ from esckit.autodiff import (
     BatchNormState, BiGRUParams, GRUDirParams, GraphError, ShapeError, Tensor,
 )
 from esckit.fdcheck import OP_TOLERANCE, op_gradient_checks
+from esckit.model import POOLS
 
 
 def t(data, **kw):
@@ -448,6 +449,79 @@ class TestBatchnorm:
         out = ad.batchnorm(t(x), state, mode).data
         assert out.shape == shape and out.dtype == np.float32
         assert np.allclose(out.reshape(-1, 3), ref, rtol=1e-5, atol=1e-5)
+
+
+def _conv_block_run(fused, arrays, stats, mode, window):
+    """Output, the x/kernel/bias/gamma/beta gradients of a fixed projection,
+    and the running statistics, of conv_block or of its reference chain."""
+    x, k, b, gamma, beta = (Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays)
+    state = BatchNormState(gamma=gamma, beta=beta, running_mean=stats[0].copy(),
+                           running_var=stats[1].copy())
+    if fused:
+        out = ad.conv_block(x, k, b, state, mode, window)
+    else:
+        out = ad.relu(ad.batchnorm(ad.conv2d(x, k, b), state, mode))
+        out = ad.maxpool2d(out, window) if window else out
+    proj = np.random.default_rng(5).standard_normal(out.shape)
+    ad.tensor_sum(ad.mul(out, Tensor(proj))).backward()
+    return [out.data, x.grad, k.grad, b.grad, gamma.grad, beta.grad,
+            state.running_mean, state.running_var]
+
+
+@pytest.mark.parametrize("kernel_size", [(3, 5), (2, 4)])
+@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("window", sorted(POOLS.values()) + [None])
+def test_conv_block_matches_reference_chain(window, mode, kernel_size):
+    rng = np.random.default_rng(21)
+    arrays = (rng.standard_normal((3, 9, 11, 2)), 0.5 * rng.standard_normal(kernel_size + (2, 3)),
+              rng.standard_normal(3), np.array([1.2, -0.7, 0.4]), rng.standard_normal(3))
+    stats = 0.2 * rng.standard_normal(3), 0.5 + rng.uniform(size=3)
+    fused = _conv_block_run(True, arrays, stats, mode, window)
+    ref = _conv_block_run(False, arrays, stats, mode, window)
+    names = ("out", "x", "kernel", "bias", "gamma", "beta", "running_mean", "running_var")
+    for name, got, want in zip(names, fused, ref):
+        assert got.shape == want.shape and got.dtype == np.float64, name
+        if name == "bias" and mode == "train":
+            # The bias cancels in train-mode batch norm: the fused gradient is
+            # exactly 0, the reference's a rounding residue.
+            assert np.all(got == 0.0)
+            assert np.abs(want).max() < 1e-12 * np.abs(ref[1]).max()
+        else:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def test_conv_block_breaks_window_ties_like_maxpool2d():
+    # A constant (silent) region makes every position of some windows equal;
+    # the gradient must land on the first of them in row-major window order.
+    # Its ragged top edge puts the first tie of the window at rows 0-3,
+    # columns 3-5 at (1, 5), where a column-first order would pick (2, 3).
+    rng = np.random.default_rng(22)
+    x = rng.uniform(0.0, 0.5, size=(2, 12, 12, 1))
+    x[:, 2:7, 3:9] = 0.5
+    x[:, 1, 5:9] = 0.5
+    arrays = (x, np.ones((1, 1, 1, 1)), np.zeros(1), np.ones(1), np.zeros(1))
+    stats = np.zeros(1), np.ones(1)
+    fused = _conv_block_run(True, arrays, stats, "infer", (4, 3))[1]
+    ref = _conv_block_run(False, arrays, stats, "infer", (4, 3))[1]
+    assert np.array_equal(fused != 0.0, ref != 0.0)
+    assert np.allclose(fused, ref, rtol=1e-12, atol=0.0)
+    hits = (fused != 0.0).reshape(2, 3, 4, 4, 3).sum(axis=(2, 4))
+    assert np.all(hits == 1)
+    assert fused[0, 1, 5, 0] != 0.0 and fused[0, 2, 3, 0] == 0.0 and fused[0, 4, 3, 0] != 0.0
+
+
+def test_conv_block_is_one_node():
+    rng = np.random.default_rng(23)
+    x = t(rng.standard_normal((2, 8, 6, 2)), requires_grad=True)
+    kernel = t(rng.standard_normal((3, 5, 2, 2)), requires_grad=True)
+    out = ad.conv_block(x, kernel, t(np.zeros(2), requires_grad=True),
+                        BatchNormState.create(2), "train", (4, 3))
+    assert out.shape == (2, 2, 2, 2) and out.dtype == np.float32
+    assert [n._op for n in out._topo_order() if n._prev] == ["conv_block"]
+    with pytest.raises(ShapeError):
+        ad.conv_block(x, kernel, t(np.zeros(2)), BatchNormState.create(3), "train", None)
+    with pytest.raises(ShapeError):
+        ad.conv_block(x, kernel, t(np.zeros(2)), BatchNormState.create(2), "train", (9, 3))
 
 
 class TestActivationsAndDropout:

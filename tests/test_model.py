@@ -200,7 +200,7 @@ def test_every_op_of_a_train_step_has_a_finite_difference_row():
         probs = acrnn.forward(params, x, mode="train", rng=np.random.default_rng(1))
         loss = ad.cross_entropy(probs, Tensor(one_hot([0, 2], 3)))
         ops = {n._op for n in loss._topo_order() if n._prev}
-        assert "conv2d" in ops and "gru" in ops, placement
+        assert "conv_block" in ops and "gru" in ops, placement
         missing = {op for op in ops if FD_ROW_OF_OP.get(op, op) not in rows}
         assert not missing, (placement, missing)
 
