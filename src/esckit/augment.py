@@ -31,52 +31,77 @@ class AugmentConfig:
 
 
 def _stft(x, n_fft=PV_WINDOW, hop=PV_HOP):
-    n_frames = 1 + (x.size - n_fft) // hop
-    window = np.hanning(n_fft)
-    starts = np.arange(n_frames) * hop
-    return np.fft.rfft(x[starts[:, None] + np.arange(n_fft)] * window, axis=1).T
+    """Hann-windowed STFT as a (frames, bins) array."""
+    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop]
+    return np.fft.rfft(frames * np.hanning(n_fft), axis=1)
 
 
 def _istft(spec, n_fft=PV_WINDOW, hop=PV_HOP):
-    n_frames = spec.shape[1]
+    """Windowed overlap-add of (frames, bins) spectra, normalized by the summed
+    squared window.
+
+    Each frame splits into n_fft // hop parts of hop samples; output block b
+    takes part k of frame b - k. Adding the parts from k = n_fft // hop - 1
+    down to 0 gives every sample its terms in ascending frame order, as a
+    per-frame overlap-add loop would.
+    """
+    n_frames = spec.shape[0]
+    parts = n_fft // hop
     window = np.hanning(n_fft)
-    length = (n_frames - 1) * hop + n_fft
-    out = np.zeros(length)
-    norm = np.zeros(length)
-    frames = np.fft.irfft(spec.T, n=n_fft, axis=1)
-    for m in range(n_frames):
-        sl = slice(m * hop, m * hop + n_fft)
-        out[sl] += frames[m] * window
-        norm[sl] += window * window
-    return out / np.maximum(norm, 1e-8)
+    frames = (np.fft.irfft(spec, n=n_fft, axis=1) * window).reshape(n_frames, parts, hop)
+    squares = (window * window).reshape(parts, hop)
+    out = np.zeros((n_frames + parts - 1, hop))
+    norm = np.zeros_like(out)
+    for k in range(parts - 1, -1, -1):
+        out[k:k + n_frames] += frames[:, k]
+        norm[k:k + n_frames] += squares[k]
+    return (out / np.maximum(norm, 1e-8)).ravel()
 
 
-def time_stretch(clip, rate):
-    """Phase-vocoder time stretch; duration scales to ~len/rate, pitch kept."""
-    if rate <= 0.0:
-        raise ValueError(f"stretch rate must be positive, got {rate}")
+def _analyse(clip):
+    """Magnitude and phase of a clip's STFT, (frames + 1, bins), with a zero
+    frame appended for the interpolation at the last step."""
     x = np.asarray(clip.samples, dtype=np.float64)
     if x.size < PV_WINDOW:
         raise ValueError(f"clip {clip.clip_id!r} shorter than one {PV_WINDOW}-sample window")
     spec = _stft(x)
-    n_bins, n_frames = spec.shape
-    steps = np.arange(0.0, n_frames, rate)
-    spec = np.concatenate([spec, np.zeros((n_bins, 1), dtype=spec.dtype)], axis=1)
+    spec = np.concatenate([spec, np.zeros((1, spec.shape[1]), dtype=spec.dtype)])
+    return np.abs(spec), np.angle(spec)
 
-    expected = 2.0 * np.pi * PV_HOP * np.arange(n_bins) / PV_WINDOW
-    phase = np.angle(spec)
-    magnitude = np.abs(spec)
-    out = np.empty((n_bins, steps.size), dtype=np.complex128)
-    phase_acc = phase[:, 0].copy()
-    for m, step in enumerate(steps):
-        i = int(step)
-        frac = step - i
-        mag = (1.0 - frac) * magnitude[:, i] + frac * magnitude[:, i + 1]
-        out[:, m] = mag * np.exp(1j * phase_acc)
-        dphi = phase[:, i + 1] - phase[:, i] - expected
-        dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
-        phase_acc += expected + dphi
-    return replace(clip, samples=_istft(out))
+
+def _stretch(analysis, rate):
+    """Phase-vocoder resynthesis of an _analyse result at the given rate.
+
+    Output frame m reads analysis position m * rate: the magnitude is
+    interpolated between the two frames around it, and the phase accumulates
+    each step's expected advance plus the wrapped deviation measured there.
+    """
+    if rate <= 0.0:
+        raise ValueError(f"stretch rate must be positive, got {rate}")
+    magnitude, phase = analysis
+    steps = np.arange(0.0, magnitude.shape[0] - 1, rate)
+    i = steps.astype(np.intp)
+    frac = (steps - i)[:, None]
+    mag = (1.0 - frac) * magnitude[i] + frac * magnitude[i + 1]
+    expected = 2.0 * np.pi * PV_HOP * np.arange(magnitude.shape[1]) / PV_WINDOW
+    dphi = phase[i + 1] - phase[i] - expected
+    dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
+    phase_acc = np.cumsum(np.concatenate([phase[:1], expected + dphi[:-1]]), axis=0)
+    return _istft(mag * np.exp(1j * phase_acc))
+
+
+def _shift(analysis, n, semitones, valid_range):
+    """Pitch shift of an _analyse result, resampled to n samples."""
+    lo, hi = valid_range
+    if not lo <= semitones <= hi:
+        raise ValueError(f"pitch shift {semitones} outside [{lo}, {hi}] semitones")
+    y = _stretch(analysis, 2.0 ** (-semitones / 12.0))
+    return np.interp(np.linspace(0.0, y.size - 1.0, num=n), np.arange(y.size), y)
+
+
+def time_stretch(clip, rate):
+    """Phase-vocoder time stretch; duration scales to ~len/rate, pitch kept."""
+    return replace(clip, samples=_stretch(_analyse(clip), rate))
 
 
 def pitch_shift(clip, semitones, valid_range=(-3.5, 3.5)):
@@ -85,14 +110,8 @@ def pitch_shift(clip, semitones, valid_range=(-3.5, 3.5)):
     Realized as a time stretch by 2^(-semitones/12) followed by linear
     resampling back to the original sample count.
     """
-    lo, hi = valid_range
-    if not lo <= semitones <= hi:
-        raise ValueError(f"pitch shift {semitones} outside [{lo}, {hi}] semitones")
     n = np.asarray(clip.samples).size
-    stretched = time_stretch(clip, 2.0 ** (-semitones / 12.0))
-    y = stretched.samples
-    resampled = np.interp(np.linspace(0.0, y.size - 1.0, num=n), np.arange(y.size), y)
-    return replace(clip, samples=resampled)
+    return replace(clip, samples=_shift(_analyse(clip), n, semitones, valid_range))
 
 
 def mixup_arrays(x_i, y_i, x_j, y_j, lam):
@@ -132,14 +151,19 @@ def augment_clip(clip, config, rng):
     """Generate waveform-augmented copies of one clip.
 
     Even copies are time-stretched, odd copies pitch-shifted, with factors
-    drawn uniformly from the configured ranges.
+    drawn uniformly from the configured ranges. The clip is analysed once and
+    every copy is resynthesized from that analysis.
     """
+    if config.copies_per_clip <= 0:
+        return []
+    analysis = _analyse(clip)
+    n = np.asarray(clip.samples).size
     out = []
     for c in range(config.copies_per_clip):
         if c % 2 == 0:
-            rate = rng.uniform(*config.stretch_range)
-            out.append(time_stretch(clip, rate))
+            samples = _stretch(analysis, rng.uniform(*config.stretch_range))
         else:
-            semis = rng.uniform(*config.shift_range_semitones)
-            out.append(pitch_shift(clip, semis, valid_range=config.shift_range_semitones))
+            samples = _shift(analysis, n, rng.uniform(*config.shift_range_semitones),
+                             config.shift_range_semitones)
+        out.append(replace(clip, samples=samples))
     return out

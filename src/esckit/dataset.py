@@ -109,6 +109,10 @@ def _find_chunks(blob, path):
     while offset + 8 <= len(blob):
         cid = blob[offset:offset + 4]
         (size,) = struct.unpack_from("<I", blob, offset + 4)
+        if offset + 8 + size > len(blob):
+            raise AudioDecodeError(f"{path}: {cid.decode('latin-1')!r} chunk at byte {offset} "
+                                   f"declares {size} bytes, but the file holds "
+                                   f"{len(blob) - offset - 8} after its header")
         chunks.setdefault(cid, (offset + 8, size))
         offset += 8 + size + (size & 1)
     return chunks
@@ -119,7 +123,9 @@ def read_wav(path):
 
     Stereo is averaged to mono; 16-bit samples scale by 1/32768; other sample
     rates are linearly resampled to 44100 with a logged warning. Label and
-    fold default to 0 until metadata is attached.
+    fold default to 0 until metadata is attached. A chunk that runs past the
+    end of the file, or data that is not a whole number of sample frames,
+    raises AudioDecodeError with the path and the byte counts.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -130,20 +136,24 @@ def read_wav(path):
     if fmt_size < 16:
         raise AudioDecodeError(f"{path}: fmt chunk too short at byte {fmt_off}")
     audio_format, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", blob, fmt_off)
-    data_off, data_size = chunks[b"data"]
-    data = blob[data_off:data_off + data_size]
-
-    if audio_format == 1 and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == 3 and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
+    if (audio_format, bits) not in ((1, 16), (3, 32)):
         raise AudioDecodeError(f"{path}: unsupported codec (format {audio_format}, "
                                f"{bits}-bit) in fmt chunk at byte {fmt_off}")
+    if channels not in (1, 2):
+        raise AudioDecodeError(f"{path}: {channels} channels unsupported")
+    data_off, data_size = chunks[b"data"]
+    frame_bytes = channels * bits // 8
+    if data_size % frame_bytes:
+        raise AudioDecodeError(f"{path}: data chunk at byte {data_off} holds {data_size} bytes, "
+                               f"not a whole number of {frame_bytes}-byte sample frames")
+    data = blob[data_off:data_off + data_size]
+
+    if bits == 16:
+        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+    else:
+        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
-    elif channels != 1:
-        raise AudioDecodeError(f"{path}: {channels} channels unsupported")
 
     if rate != SAMPLE_RATE:
         logger.warning("%s: resampling %d Hz -> %d Hz (linear)", path, rate, SAMPLE_RATE)

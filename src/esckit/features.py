@@ -74,11 +74,8 @@ def stft_power(clip):
     x = np.asarray(clip.samples, dtype=np.float64)
     if x.size < STFT_WINDOW:
         raise TooShortError(f"clip {clip.clip_id!r}: {x.size} samples < one {STFT_WINDOW}-sample window")
-    n_frames = (x.size - STFT_WINDOW) // STFT_HOP + 1
-    window = np.hamming(STFT_WINDOW)
-    starts = np.arange(n_frames) * STFT_HOP
-    frames = x[starts[:, None] + np.arange(STFT_WINDOW)] * window
-    spectrum = np.fft.rfft(frames, axis=1)
+    frames = np.lib.stride_tricks.sliding_window_view(x, STFT_WINDOW)[::STFT_HOP]
+    spectrum = np.fft.rfft(frames * np.hamming(STFT_WINDOW), axis=1)
     return (spectrum.real ** 2 + spectrum.imag ** 2).T
 
 

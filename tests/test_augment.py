@@ -16,6 +16,113 @@ def dominant_bin(clip):
     return int(np.bincount(spec.argmax(axis=0)).argmax())
 
 
+def reference_istft(spec, n_fft=aug.PV_WINDOW, hop=aug.PV_HOP):
+    """Per-frame overlap-add of a (bins, frames) spectrum."""
+    n_frames = spec.shape[1]
+    window = np.hanning(n_fft)
+    length = (n_frames - 1) * hop + n_fft
+    out = np.zeros(length)
+    norm = np.zeros(length)
+    frames = np.fft.irfft(spec.T, n=n_fft, axis=1)
+    for m in range(n_frames):
+        sl = slice(m * hop, m * hop + n_fft)
+        out[sl] += frames[m] * window
+        norm[sl] += window * window
+    return out / np.maximum(norm, 1e-8)
+
+
+def reference_time_stretch(samples, rate):
+    """Per-frame phase vocoder over a (bins, frames) spectrum, one Python
+    iteration per output frame: the oracle for aug.time_stretch."""
+    x = np.asarray(samples, dtype=np.float64)
+    n_frames = 1 + (x.size - aug.PV_WINDOW) // aug.PV_HOP
+    starts = np.arange(n_frames) * aug.PV_HOP
+    spec = np.fft.rfft(x[starts[:, None] + np.arange(aug.PV_WINDOW)]
+                       * np.hanning(aug.PV_WINDOW), axis=1).T
+    n_bins = spec.shape[0]
+    steps = np.arange(0.0, n_frames, rate)
+    spec = np.concatenate([spec, np.zeros((n_bins, 1), dtype=spec.dtype)], axis=1)
+
+    expected = 2.0 * np.pi * aug.PV_HOP * np.arange(n_bins) / aug.PV_WINDOW
+    phase = np.angle(spec)
+    magnitude = np.abs(spec)
+    out = np.empty((n_bins, steps.size), dtype=np.complex128)
+    phase_acc = phase[:, 0].copy()
+    for m, step in enumerate(steps):
+        i = int(step)
+        frac = step - i
+        mag = (1.0 - frac) * magnitude[:, i] + frac * magnitude[:, i + 1]
+        out[:, m] = mag * np.exp(1j * phase_acc)
+        dphi = phase[:, i + 1] - phase[:, i] - expected
+        dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
+        phase_acc += expected + dphi
+    return reference_istft(out)
+
+
+def tone_clip(n, seed=0):
+    """A tone over noise, n samples."""
+    rng = np.random.default_rng(seed)
+    x = 0.5 * np.sin(2.0 * np.pi * 440.0 * np.arange(n) / ft.SAMPLE_RATE)
+    x += 0.1 * rng.standard_normal(n)
+    return ft.WaveClip(samples=x, sample_rate=ft.SAMPLE_RATE, label=0, fold=1, clip_id="t")
+
+
+# At every length in LENGTHS the last step of rate 0.45 falls between the last
+# analysis frame and the appended zero frame, so it reads the zero frame.
+ZERO_FRAME_RATE = 0.45
+LENGTHS = (1024, 1024 + 255, 220_500)
+
+
+class TestVocoderMatchesReferenceLoop:
+    """Bitwise equality with the per-frame loops, not a tolerance."""
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("rate", (0.8, 1.0, 1.3, ZERO_FRAME_RATE))
+    def test_time_stretch(self, n, rate):
+        clip = tone_clip(n)
+        assert (aug.time_stretch(clip, rate).samples.tobytes()
+                == reference_time_stretch(clip.samples, rate).tobytes())
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_zero_frame_rate_reads_the_appended_frame(self, n):
+        n_frames = 1 + (n - aug.PV_WINDOW) // aug.PV_HOP
+        last = np.arange(0.0, n_frames, ZERO_FRAME_RATE)[-1]
+        assert int(last) == n_frames - 1 and last > int(last)
+
+    @pytest.mark.parametrize("semitones", (-3.5, 1.0, 3.5))
+    def test_pitch_shift(self, semitones):
+        clip = tone_clip(44_100, seed=1)
+        y = reference_time_stretch(clip.samples, 2.0 ** (-semitones / 12.0))
+        want = np.interp(np.linspace(0.0, y.size - 1.0, num=clip.samples.size),
+                         np.arange(y.size), y)
+        assert aug.pitch_shift(clip, semitones).samples.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_all_zero_clip_stays_zero(self, n):
+        clip = ft.WaveClip(samples=np.zeros(n), sample_rate=ft.SAMPLE_RATE, label=0, fold=1,
+                           clip_id="silence")
+        for rate in (0.8, 1.3):
+            out = aug.time_stretch(clip, rate).samples
+            assert np.all(np.isfinite(out)) and np.all(out == 0.0)
+            assert out.tobytes() == reference_time_stretch(clip.samples, rate).tobytes()
+
+    def test_augment_clip_matches_public_calls(self):
+        clip = tone_clip(44_100, seed=2)
+        config = aug.AugmentConfig(copies_per_clip=4)
+        copies = aug.augment_clip(clip, config, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        want = []
+        for c in range(config.copies_per_clip):
+            if c % 2 == 0:
+                want.append(aug.time_stretch(clip, rng.uniform(*config.stretch_range)))
+            else:
+                want.append(aug.pitch_shift(clip, rng.uniform(*config.shift_range_semitones),
+                                            valid_range=config.shift_range_semitones))
+        assert len(copies) == len(want)
+        for got, ref in zip(copies, want):
+            assert got.samples.tobytes() == ref.samples.tobytes()
+
+
 class TestTimeStretch:
     def test_unit_rate_keeps_length(self):
         clip = sine_clip()

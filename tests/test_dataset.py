@@ -9,22 +9,26 @@ from esckit.augment import AugmentConfig
 from esckit.features import SAMPLE_RATE, LogGTSegment
 
 
+def riff_wav(payload, audio_format=1, channels=1, bits=16, rate=SAMPLE_RATE, data_size=None):
+    """RIFF/WAVE bytes around a raw payload; data_size overrides the data
+    length the header declares."""
+    block = channels * bits // 8
+    data_size = len(payload) if data_size is None else data_size
+    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+    fmt_chunk = b"fmt " + struct.pack("<IHHIIHH", 16, audio_format, channels, rate,
+                                      rate * block, block, bits)
+    data_chunk = b"data" + struct.pack("<I", data_size)
+    return header + fmt_chunk + data_chunk + payload
+
+
 def write_wav(path, samples, rate=SAMPLE_RATE, fmt="pcm16"):
     """Minimal RIFF writer for fixtures: pcm16 int16 or float32 arrays."""
     samples = np.asarray(samples)
     channels = 1 if samples.ndim == 1 else samples.shape[1]
     if fmt == "pcm16":
-        payload = samples.astype("<i2").tobytes()
-        audio_format, bits = 1, 16
+        path.write_bytes(riff_wav(samples.astype("<i2").tobytes(), 1, channels, 16, rate))
     else:
-        payload = samples.astype("<f4").tobytes()
-        audio_format, bits = 3, 32
-    block = channels * bits // 8
-    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-    fmt_chunk = b"fmt " + struct.pack("<IHHIIHH", 16, audio_format, channels, rate,
-                                      rate * block, block, bits)
-    data_chunk = b"data" + struct.pack("<I", len(payload))
-    path.write_bytes(header + fmt_chunk + data_chunk + payload)
+        path.write_bytes(riff_wav(samples.astype("<f4").tobytes(), 3, channels, 32, rate))
 
 
 def meta_csv(path, rows, header="filename,fold,target,category"):
@@ -141,6 +145,25 @@ class TestReadWav:
         path.write_bytes(header + fmt_chunk + data_chunk + payload)
         with pytest.raises(ds.AudioDecodeError, match="unsupported codec"):
             ds.read_wav(path)
+
+
+    # Each damaged file must raise AudioDecodeError naming the path and the
+    # byte counts, not a bare numpy error or a silently short clip.
+    @pytest.mark.parametrize("present, channels, declared, message", [
+        (8999, 1, 10000, "declares 10000 bytes, but the file holds 8999"),
+        (8999, 1, None, "holds 8999 bytes, not a whole number of 2-byte sample frames"),
+        (10, 2, None, "holds 10 bytes, not a whole number of 4-byte sample frames"),
+        (10000, 1, 20000, "declares 20000 bytes, but the file holds 10000"),
+    ], ids=["truncated-mid-sample", "odd-pcm16-length", "stereo-odd-sample-count",
+            "data-longer-than-file"])
+    def test_damaged_file_names_path_and_bytes(self, tmp_path, present, channels, declared,
+                                               message):
+        path = tmp_path / "damaged.wav"
+        payload = np.arange(5000, dtype="<i2").tobytes()[:present]
+        path.write_bytes(riff_wav(payload, channels=channels, data_size=declared))
+        with pytest.raises(ds.AudioDecodeError, match=message) as info:
+            ds.read_wav(path)
+        assert str(path) in str(info.value)
 
 
 def random_segments(n, rng, augmented=False):

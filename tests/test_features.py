@@ -44,6 +44,15 @@ class TestStftPower:
         with pytest.raises(ft.TooShortError):
             ft.stft_power(make_clip(np.zeros(1023)))
 
+    @pytest.mark.parametrize("n", (1024, 1024 + 511, 220_500))
+    def test_matches_gather_framing_bitwise(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        starts = np.arange((n - ft.STFT_WINDOW) // ft.STFT_HOP + 1) * ft.STFT_HOP
+        frames = x[starts[:, None] + np.arange(ft.STFT_WINDOW)] * np.hamming(ft.STFT_WINDOW)
+        spectrum = np.fft.rfft(frames, axis=1)
+        want = (spectrum.real ** 2 + spectrum.imag ** 2).T
+        assert ft.stft_power(make_clip(x)).tobytes() == want.tobytes()
+
     def test_sine_power_concentrated_near_peak(self):
         spec = ft.stft_power(sine_clip(440.0, seconds=1.0))
         total = spec.sum()
