@@ -9,6 +9,13 @@ header and float32 values, with nothing after the last record. Headers:
   (band, frame, channel) order. v1 lacks the flag, reads as not augmented;
 - checkpoint ``ACRN`` v1 (one record per named tensor): u8 rank, u32 dims.
 
+Records stream in both directions, so neither side holds a second copy of
+the file. The writer takes any iterable of records, writes each one's values
+straight from the array's bytes, and patches the record count into the header
+once the last record is out, before the rename. The reader reads the values
+of each record into place; a feature cache's segments are rows of one
+``(count, 128, 128, 2)`` float32 array.
+
 Every file esckit writes goes through ``write_atomic``: a temp file and a
 rename, so a torn file never exists under the target name.
 """
@@ -45,14 +52,18 @@ class CheckpointFormatError(ValueError):
 
 
 def write_atomic(path, data):
-    """Write ``data`` (bytes) to ``path``, creating its directory, through a
-    temp file and a rename; a failed write removes the temp file and leaves
-    ``path`` as it was."""
+    """Write ``data`` to ``path``, creating its directory, through a temp file
+    and a rename. ``data`` is bytes, or a callable that writes to the open
+    binary temp file. A failed write removes the temp file and leaves ``path``
+    as it was."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            if callable(data):
+                data(fh)
+            else:
+                fh.write(data)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -67,73 +78,102 @@ def write_csv(path, rows):
 
 
 def _write_container(path, magic, version, records):
-    """Frame ``(name, header bytes, values)`` records and write them atomically."""
-    chunks = [magic, struct.pack("<II", version, len(records))]
-    for name, header, values in records:
-        encoded = name.encode("utf-8")
-        chunks += [struct.pack("<H", len(encoded)), encoded, header,
-                   np.ascontiguousarray(values, dtype="<f4").tobytes()]
-    write_atomic(path, b"".join(chunks))
+    """Frame ``(name, header bytes, values)`` records from any iterable and write
+    them atomically, one record at a time; returns the record count."""
+    count = 0
+
+    def write(fh):
+        nonlocal count
+        fh.write(magic + struct.pack("<II", version, 0))
+        for name, header, values in records:
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)) + encoded + header)
+            fh.write(np.ascontiguousarray(values, dtype="<f4").reshape(-1).view(np.uint8))
+            count += 1
+        fh.seek(len(magic) + 4)
+        fh.write(struct.pack("<I", count))
+
+    write_atomic(path, write)
+    return count
 
 
-def _read_container(path, magic, versions, read_header, error):
-    """Parse a container into ``(name, header, values)`` records; ``read_header(blob,
-    offset, version)`` returns ``(header, values shape, offset past the header)``."""
+def _read_container(path, magic, versions, read_header, error, record_shape=None):
+    """Parse a container into ``(name, header, values)`` records, reading through
+    the file. ``read_header(read, version)`` returns ``(header, values shape)``,
+    where ``read(n)`` gives the next ``n`` bytes. With ``record_shape`` every
+    record's values are a row of one C-contiguous ``(count, *record_shape)``
+    float32 array; otherwise each record has its own array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != magic:
-        raise error(f"bad magic {blob[:4]!r}, expected {magic!r}")
-    offset = 4
-    records = []
-    try:
-        version, count = struct.unpack_from("<II", blob, offset)
-        if version not in versions:
-            raise error(f"unsupported {magic.decode()} version {version}")
-        offset += 8
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset:offset + name_len].decode("utf-8")
-            header, shape, offset = read_header(blob, offset + name_len, version)
-            size = math.prod(shape)
-            if offset + 4 * size > len(blob):
-                raise struct.error("truncated record values")
-            values = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
-            offset += 4 * size
-            records.append((name, header, values.reshape(shape).copy()))
-    except struct.error as exc:
-        raise error(f"truncated {magic.decode()} file at byte {offset}: {exc}") from exc
-    if offset != len(blob):
-        raise error(f"{len(blob) - offset} trailing bytes after {count} records")
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n):
+            data = fh.read(n)
+            if len(data) != n:
+                raise struct.error(f"{n} bytes needed, {len(data)} remain")
+            return data
+
+        head = fh.read(4)
+        if head != magic:
+            raise error(f"bad magic {head!r}, expected {magic!r}")
+        records = []
+        try:
+            version, count = struct.unpack("<II", read(8))
+            if version not in versions:
+                raise error(f"unsupported {magic.decode()} version {version}")
+            store = None
+            if record_shape is not None:
+                if 4 * math.prod(record_shape) * count > size - fh.tell():
+                    raise struct.error(f"{count} records declared, "
+                                       f"{size - fh.tell()} bytes follow the header")
+                store = np.empty((count, *record_shape), dtype="<f4")
+            for i in range(count):
+                (name_len,) = struct.unpack("<H", read(2))
+                name = read(name_len).decode("utf-8")
+                header, shape = read_header(read, version)
+                nbytes = 4 * math.prod(shape)
+                if nbytes > size - fh.tell():
+                    raise struct.error(f"record {i} needs {nbytes} value bytes, "
+                                       f"{size - fh.tell()} remain")
+                values = np.empty(shape, dtype="<f4") if store is None else store[i]
+                fh.readinto(values.reshape(-1).view(np.uint8))
+                records.append((name, header, values))
+        except struct.error as exc:
+            raise error(f"truncated {magic.decode()} file at byte {fh.tell()}: {exc}") from exc
+        if fh.tell() != size:
+            raise error(f"{size - fh.tell()} trailing bytes after {count} records")
     return records
 
 
-def _segment_header(blob, offset, version):
+def _segment_header(read, version):
     header = _SEGMENT_HEADERS[version]
-    return header.unpack_from(blob, offset), CACHE_SEGMENT_SHAPE, offset + header.size
+    return header.unpack(read(header.size)), CACHE_SEGMENT_SHAPE
 
 
-def _tensor_header(blob, offset, version):
-    (rank,) = struct.unpack_from("<B", blob, offset)
-    dims = struct.unpack_from(f"<{rank}I", blob, offset + 1)
-    return dims, dims, offset + 1 + 4 * rank
+def _tensor_header(read, version):
+    (rank,) = read(1)
+    dims = struct.unpack(f"<{rank}I", read(4 * rank))
+    return dims, dims
 
 
 def write_cache(path, segments):
+    """Write segments from any iterable as an LGT cache, checking each one's
+    shape as it arrives; returns the number written."""
     header = _SEGMENT_HEADERS[CACHE_VERSIONS[-1]]
-    records = []
-    for seg in segments:
-        if seg.values.shape != CACHE_SEGMENT_SHAPE:
-            raise CacheFormatError(f"segment {seg.clip_id!r}#{seg.segment_index} has shape "
-                                   f"{seg.values.shape}, cache stores {CACHE_SEGMENT_SHAPE}")
-        records.append((seg.clip_id, header.pack(seg.segment_index, seg.label, seg.fold,
-                                                 int(seg.augmented)), seg.values))
-    _write_container(path, CACHE_MAGIC, CACHE_VERSIONS[-1], records)
+
+    def records():
+        for seg in segments:
+            if seg.values.shape != CACHE_SEGMENT_SHAPE:
+                raise CacheFormatError(f"segment {seg.clip_id!r}#{seg.segment_index} has shape "
+                                       f"{seg.values.shape}, cache stores {CACHE_SEGMENT_SHAPE}")
+            yield seg.clip_id, header.pack(seg.segment_index, seg.label, seg.fold,
+                                           int(seg.augmented)), seg.values
+
+    return _write_container(path, CACHE_MAGIC, CACHE_VERSIONS[-1], records())
 
 
 def read_cache(path):
     records = _read_container(path, CACHE_MAGIC, CACHE_VERSIONS, _segment_header,
-                              CacheFormatError)
+                              CacheFormatError, CACHE_SEGMENT_SHAPE)
     return [LogGTSegment(values=values, clip_id=clip_id, segment_index=header[0],
                          label=header[1], fold=header[2], augmented=any(header[3:]))
             for clip_id, header, values in records]

@@ -173,22 +173,24 @@ def build_cache(records, data_dir, augment_config, out_path, seed=0):
 
     Clips are processed in ascending filename order; each clip's augmentation
     randomness derives from the base seed and the filename alone, so rebuilds
-    with the same seed are bitwise identical regardless of record order.
-    Returns the number of segments written.
+    with the same seed are bitwise identical regardless of record order. One
+    clip's segments are in memory at a time: they stream into the cache as
+    they are extracted. Returns the number of segments written.
     """
     fb = build_gammatone_filterbank()
-    segments = []
-    for record in sorted(records, key=lambda r: r.filename):
-        path = os.path.join(data_dir, record.filename)
-        try:
-            clip = read_wav(path)
-        except OSError as exc:
-            raise AudioDecodeError(f"cannot read {record.filename!r}: {exc}") from exc
-        clip = replace(clip, label=record.target, fold=record.fold, clip_id=record.filename)
-        segments.extend(extract_segments(clip, fb))
-        if augment_config is not None and augment_config.copies_per_clip > 0:
-            rng = _clip_rng(seed, record.filename)
-            for copy in augment_clip(clip, augment_config, rng):
-                segments.extend(extract_segments(copy, fb, augmented=True))
-    write_cache(out_path, segments)
-    return len(segments)
+
+    def segments():
+        for record in sorted(records, key=lambda r: r.filename):
+            path = os.path.join(data_dir, record.filename)
+            try:
+                clip = read_wav(path)
+            except OSError as exc:
+                raise AudioDecodeError(f"cannot read {record.filename!r}: {exc}") from exc
+            clip = replace(clip, label=record.target, fold=record.fold, clip_id=record.filename)
+            yield from extract_segments(clip, fb)
+            if augment_config is not None and augment_config.copies_per_clip > 0:
+                rng = _clip_rng(seed, record.filename)
+                for copy in augment_clip(clip, augment_config, rng):
+                    yield from extract_segments(copy, fb, augmented=True)
+
+    return write_cache(out_path, segments())

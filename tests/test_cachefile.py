@@ -2,7 +2,10 @@
 only ``esckit.cachefile`` opens files for writing."""
 
 import ast
+import os
 import struct
+import subprocess
+import sys
 from collections import OrderedDict
 from pathlib import Path
 
@@ -63,12 +66,14 @@ class TestByteLayout:
             cf.read_checkpoint(path)
 
 
-def _torn_open(real_open):
-    """An ``open`` that, for writing, stores half the bytes and then fails."""
+def _torn_open(real_open, fail_at=1):
+    """An ``open`` that, for writing, passes the first ``fail_at - 1`` writes
+    through, stores half the bytes of the next one and then fails."""
     def fake_open(file, mode="r", *args, **kwargs):
         fh = real_open(file, mode, *args, **kwargs)
         if "r" in mode:
             return fh
+        calls = []
 
         class Torn:
             def __enter__(self):
@@ -77,7 +82,13 @@ def _torn_open(real_open):
             def __exit__(self, *exc):
                 fh.close()
 
+            def __getattr__(self, name):
+                return getattr(fh, name)
+
             def write(self, data):
+                calls.append(len(data))
+                if len(calls) < fail_at:
+                    return fh.write(data)
                 fh.write(data[:len(data) // 2])
                 fh.flush()
                 raise OSError(28, "No space left on device")
@@ -121,6 +132,146 @@ def test_failed_write_keeps_the_previous_file(kind, tmp_path, monkeypatch):
     WRITERS[kind](path, 1.0)
     assert path.read_bytes() != before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def _segments(n, start=0, shape=(128, 128, 2)):
+    for i in range(start, start + n):
+        yield LogGTSegment(values=np.full(shape, i, np.float32), clip_id=f"c{i}.wav",
+                           segment_index=i, label=i % 2, fold=i % 5 + 1, augmented=bool(i % 3))
+
+
+def _assert_only(tmp_path, path, before):
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+# a 3-segment cache takes 8 writes: the file header, a record header and the
+# values per record, then the count patched in last
+@pytest.mark.parametrize("fail_at", [2, 5, 7, 8])
+def test_disk_full_mid_stream_keeps_the_previous_cache(fail_at, tmp_path, monkeypatch):
+    path = tmp_path / "c.lgt"
+    cf.write_cache(path, _segments(2))
+    before = path.read_bytes()
+    monkeypatch.setattr(cf, "open", _torn_open(open, fail_at), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        cf.write_cache(path, _segments(3, start=10))
+    _assert_only(tmp_path, path, before)
+
+
+def test_wrong_shape_after_valid_segments_keeps_the_previous_cache(tmp_path):
+    path = tmp_path / "c.lgt"
+    cf.write_cache(path, _segments(2))
+    before = path.read_bytes()
+
+    def stream():
+        yield from _segments(3, start=10)
+        yield from _segments(1, shape=(64, 128, 2))
+
+    with pytest.raises(cf.CacheFormatError, match="shape"):
+        cf.write_cache(path, stream())
+    _assert_only(tmp_path, path, before)
+
+
+def test_write_cache_takes_a_generator_and_counts_it(tmp_path):
+    path = tmp_path / "c.lgt"
+    assert cf.write_cache(path, _segments(3)) == 3
+    assert struct.unpack_from("<I", path.read_bytes(), 8) == (3,)
+    assert [s.clip_id for s in cf.read_cache(path)] == ["c0.wav", "c1.wav", "c2.wav"]
+
+
+def _v1_bytes(segments):
+    blob = cf.CACHE_MAGIC + struct.pack("<II", 1, len(segments))
+    for s in segments:
+        name = s.clip_id.encode("utf-8")
+        blob += struct.pack("<H", len(name)) + name
+        blob += struct.pack("<III", s.segment_index, s.label, s.fold) + s.values.tobytes()
+    return blob
+
+
+class TestStreamedReader:
+    def test_count_beyond_the_records_is_truncated(self, tmp_path):
+        path = tmp_path / "c.lgt"
+        cf.write_cache(path, _segments(3))
+        blob = bytearray(path.read_bytes())
+        for count in (4, 2 ** 32 - 1):
+            blob[8:12] = struct.pack("<I", count)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(cf.CacheFormatError, match=r"truncated .* at byte \d+"):
+                cf.read_cache(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_values_are_rows_of_one_array(self, version, tmp_path):
+        segments = list(_segments(5))
+        path = tmp_path / "c.lgt"
+        if version == 1:
+            path.write_bytes(_v1_bytes(segments))
+        else:
+            cf.write_cache(path, segments)
+        loaded = cf.read_cache(path)
+        store = loaded[0].values.base
+        assert store.shape == (5, *cf.CACHE_SEGMENT_SHAPE) and store.dtype == np.float32
+        assert store.flags.c_contiguous and store.flags.aligned
+        assert np.shares_memory(loaded[0].values, store)
+        assert np.shares_memory(loaded[-1].values, store)
+        for a, b in zip(segments, loaded):
+            assert b.values.base is store and b.values.tobytes() == a.values.tobytes()
+            assert b.augmented == (version == 2 and a.augmented)
+
+    def test_checkpoint_records_keep_rank_and_own_arrays(self, tmp_path):
+        state = OrderedDict([("scale", np.float32(-0.5)),
+                             ("kernel", np.arange(120, dtype=np.float32).reshape(2, 3, 4, 5))])
+        path = tmp_path / "ckpt"
+        cf.save_checkpoint(path, state)
+        loaded = cf.read_checkpoint(path)
+        assert [a.shape for a in loaded.values()] == [(), (2, 3, 4, 5)]
+        assert all(loaded[k].tobytes() == np.asarray(v).tobytes() for k, v in state.items())
+        assert not np.shares_memory(loaded["scale"], loaded["kernel"])
+
+
+# The child writes or reads the cache alone and prints its peak-RSS growth in
+# bytes over a baseline taken after its imports.
+_MEMORY_CHILD = """
+import resource, sys
+import numpy as np
+from esckit import cachefile as cf
+from esckit.features import LogGTSegment
+
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+mode, path, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+base = peak()
+if mode == "write":
+    cf.write_cache(path, (LogGTSegment(values=np.full((128, 128, 2), i, np.float32),
+                                       clip_id=f"clip{i:04d}.wav", segment_index=i % 5,
+                                       label=i % 50, fold=i % 5 + 1) for i in range(n)))
+else:
+    segments = cf.read_cache(path)
+    assert len(segments) == n and segments[-1].values[0, 0, 0] == n - 1
+print(peak() - base)
+"""
+
+
+def _peak_growth(mode, path, n):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env_path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", _MEMORY_CHILD, mode, str(path), str(n)],
+                            capture_output=True, text=True, timeout=300,
+                            env=dict(os.environ, PYTHONPATH=env_path))
+    assert result.returncode == 0, result.stderr[-4000:]
+    return int(result.stdout.split()[-1])
+
+
+def test_cache_memory_does_not_hold_a_second_copy(tmp_path):
+    """Writing 400 segments (about 52 MB) streams: peak RSS grows by under 10%
+    of the file. Reading holds the values once: under 1.3x the file."""
+    path = tmp_path / "c.lgt"
+    write_growth = _peak_growth("write", path, 400)
+    size = path.stat().st_size
+    assert size > 52_000_000
+    assert write_growth < 0.1 * size, f"write grew {write_growth} B for a {size} B cache"
+    read_growth = _peak_growth("read", path, 400)
+    assert read_growth < 1.3 * size, f"read grew {read_growth} B for a {size} B cache"
 
 
 def test_write_csv_matches_the_csv_module_and_makes_the_directory(tmp_path):

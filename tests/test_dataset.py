@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -280,6 +281,27 @@ class TestBuildCache:
         ds.build_cache(list(reversed(records)), tmp_path, AugmentConfig(copies_per_clip=1),
                        b, seed=5)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_damaged_third_clip_keeps_the_previous_cache(self, tmp_path, monkeypatch):
+        records = self._write_dataset(tmp_path, n_clips=5, seconds=1.5)
+        out = tmp_path / "cache.lgt"
+        assert ds.build_cache(records, tmp_path, AugmentConfig(copies_per_clip=1), out) > 0
+        before = out.read_bytes()
+        damaged = tmp_path / "clip2.wav"
+        damaged.write_bytes(damaged.read_bytes()[:-1001])
+        written = []
+        read_wav = ds.read_wav
+
+        def watched_read_wav(path):
+            written.append(os.path.getsize(f"{out}.tmp"))
+            return read_wav(path)
+
+        monkeypatch.setattr(ds, "read_wav", watched_read_wav)
+        with pytest.raises(ds.AudioDecodeError, match="clip2.wav"):
+            ds.build_cache(records, tmp_path, AugmentConfig(copies_per_clip=1), out)
+        assert len(written) == 3 and written[2] > written[1] > 0  # two clips already out
+        assert out.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_missing_audio_file_names_it(self, tmp_path):
         records = [ds.ClipRecord(filename="ghost.wav", fold=1, target=0, category="x")]
