@@ -15,17 +15,16 @@ rng = np.random.default_rng(0)
 m = np.full((1, 8, 12, 3), 0.1, dtype=np.float32)  # a batch of one map
 m[:, :, 5:7, :] = 3.0  # frames 5-6 are loud
 kernel = Tensor(np.full((3, 3, 3, 1), 0.2, np.float32))
-bias = Tensor(np.zeros(1, np.float32))
-weights = acrnn.cnn_attention_weights(Tensor(m), kernel, bias).data.reshape(-1)
+weights = acrnn.cnn_attention_weights(Tensor(m), kernel).data.reshape(-1)
 print("CNN attention over 12 frames (burst at frames 5-6):")
 print("  " + " ".join(f"{w:.3f}" for w in weights), f"(sum {weights.sum():.6f})")
 
-weighted = acrnn.cnn_attention(Tensor(m), kernel, bias).data
+weighted = acrnn.cnn_attention(Tensor(m), kernel).data
 print(f"  weighted map keeps shape {weighted.shape}; column 5 scaled by {weights[5]:.3f}")
 
 # with a zero kernel the scores are flat and the map is uniform 1/T
-uniform = acrnn.cnn_attention_weights(Tensor(m), Tensor(np.zeros((3, 3, 3, 1), np.float32)),
-                                      bias).data.reshape(-1)
+uniform = acrnn.cnn_attention_weights(Tensor(m),
+                                      Tensor(np.zeros((3, 3, 3, 1), np.float32))).data.reshape(-1)
 print(f"  zero-kernel map is uniform: {np.allclose(uniform, 1 / 12)}")
 
 # RNN attention: one step that excites the context vector dominates the sum

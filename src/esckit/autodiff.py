@@ -7,9 +7,9 @@ gradients into every leaf tensor with ``requires_grad=True``.
 
 Only the operations the network calls are provided, in the form it calls
 them: elementwise arithmetic, matmul, reshape/transpose/slicing/concat,
-reductions, activations, softmax, stride-1 "same" 2-D convolution and
-non-overlapping max pooling on batched (N, F, T, C) channel-last maps, batch
-normalization, dropout, a bidirectional GRU over batched (N, T, D)
+reductions, activations, softmax, bias-free stride-1 "same" 2-D convolution
+and non-overlapping max pooling on batched (N, F, T, C) channel-last maps,
+batch normalization, dropout, a bidirectional GRU over batched (N, T, D)
 sequences, and cross-entropy on probabilities. Convolution has no patch
 buffer: GEMMs of the flattened padded input, regrouped into super-rows of
 S = ceil(16 / max(Cin, Cout)) grid positions, against banded weight blocks
@@ -524,25 +524,24 @@ class _ConvLayout:
             x._accumulate(gxp[:, self.pf0:self.pf0 + f, self.pt0:self.pt0 + t, :])
 
 
-def _conv_operands(op, x, kernel, bias):
+def _conv_operands(op, x, kernel):
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"{op} expects 4-d input and kernel, got {x.shape}, {kernel.shape}")
-    cin, (kcin, cout) = x.shape[3], kernel.shape[2:]
+    cin, kcin = x.shape[3], kernel.shape[2]
     if kcin != cin:
         raise ShapeError(f"{op}: input channels {cin} != kernel channels {kcin}")
-    bias = as_tensor(bias) if bias is not None else None
-    if bias is not None and bias.shape != (cout,):
-        raise ShapeError(f"{op}: bias shape {bias.shape} != ({cout},)")
-    return x, kernel, bias, _ConvLayout(x.shape, kernel.shape, kernel.dtype)
+    return x, kernel, _ConvLayout(x.shape, kernel.shape, kernel.dtype)
 
 
-def conv2d(x, kernel, bias=None):
+def conv2d(x, kernel):
     """Stride-1 "same" 2-D correlation over batched channel-last maps.
 
-    x: (N, F, T, Cin); kernel: (kf, kt, Cin, Cout); bias: (Cout,); output
-    (N, F, T, Cout). Each axis is zero-padded by (k-1)//2 before and the rest
-    after, so an even kernel pads one more row or column after than before.
+    x: (N, F, T, Cin); kernel: (kf, kt, Cin, Cout); output (N, F, T, Cout),
+    with no bias: each conv of the network feeds a batch norm or a softmax
+    over time, which cancels one. Each axis is zero-padded by (k-1)//2
+    before and the rest after, so an even kernel pads one more row or column
+    after than before.
 
     The padded input is flattened to (rows, Cin), where output row p reads
     input row p + a*Tp + b through tap (a, b), and viewed without a copy as
@@ -559,18 +558,14 @@ def conv2d(x, kernel, bias=None):
     is the same correlation of the output gradient, led by (kf-1)*Tp + kt-1
     zero rows, with the flipped, channel-swapped kernel.
     """
-    x, kernel, bias, layout = _conv_operands("conv2d", x, kernel, bias)
+    x, kernel, layout = _conv_operands("conv2d", x, kernel)
     n, f, t, _ = x.shape
     xrows = layout.pad(x.data)
-    y = layout.grid(xrows, kernel.data)[:, :f, :t]
-    y = y + bias.data if bias is not None else np.ascontiguousarray(y)
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    out = _node(y, inputs, "conv2d")
+    y = np.ascontiguousarray(layout.grid(xrows, kernel.data)[:, :f, :t])
+    out = _node(y, (x, kernel), "conv2d")
 
     if out.requires_grad:
         def backward(g):
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(np.einsum("ij->j", g.reshape(-1, g.shape[-1])))
             grows, ggrid = layout.grad_rows(g.dtype)
             ggrid[:, :f, :t] = g
             layout.backward(x, kernel, xrows, grows)
@@ -758,23 +753,20 @@ def _window_positions(code, window, grid_shape, start=0):
     return (corner + ((r * t + k) * c)[code]).transpose(0, 1, 3, 2)
 
 
-def conv_block(x, kernel, bias, bn_state, mode, window=None):
-    """relu(batchnorm(conv2d(x, kernel, bias))), max-pooled over ``window``
+def conv_block(x, kernel, bn_state, mode, window=None):
+    """relu(batchnorm(conv2d(x, kernel))), max-pooled over ``window``
     when one is given, as one graph node.
 
     Equal to ``maxpool2d(relu(batchnorm(conv2d(...), bn_state, mode)), window)``
     up to summation order, with the same running-statistics update. The
     batch-norm statistics, x_hat, the affine map and the pooling run on
     (rows, T*C) lane views of the conv's padded output grid, which the
-    batch-norm output overwrites. The bias is folded into the batch norm: in
-    train mode it cancels in x_hat and only shifts the running mean, so its
-    gradient is exactly 0; in infer mode it is subtracted from the running
-    mean. Max commutes with the monotone ReLU, so the ReLU runs on the pooled
-    map. Backward keeps the padded input rows, x_hat, and the output with a
-    uint8 window code per pooled cell, and writes the batch-norm input
-    gradient straight into the conv's padded gradient rows.
+    batch-norm output overwrites. Max commutes with the monotone ReLU, so the
+    ReLU runs on the pooled map. Backward keeps the padded input rows, x_hat
+    and the output with a uint8 window code per pooled cell, and writes the
+    batch-norm input gradient straight into the conv's padded gradient rows.
     """
-    x, kernel, bias, layout = _conv_operands("conv_block", x, kernel, bias)
+    x, kernel, layout = _conv_operands("conv_block", x, kernel)
     gamma, beta = bn_state.gamma, bn_state.beta
     n, f, t, _ = x.shape
     c = kernel.shape[3]
@@ -796,9 +788,9 @@ def conv_block(x, kernel, bias, bn_state, mode, window=None):
         mu = channel_sum(np.einsum("nfl->l", z)) / m
         xhat = z - tile(mu)
         var = channel_sum(np.einsum("nfl,nfl->l", xhat, xhat)) / m
-        _fold_running_stats(bn_state, mu + bias.data, var)
+        _fold_running_stats(bn_state, mu, var)
     elif mode == "infer":
-        xhat = z - tile(bn_state.running_mean.astype(z.dtype) - bias.data)
+        xhat = z - tile(bn_state.running_mean.astype(z.dtype))
         var = bn_state.running_var.astype(z.dtype)
     else:
         raise ValueError(f"unknown batchnorm mode {mode!r}")
@@ -812,7 +804,7 @@ def conv_block(x, kernel, bias, bn_state, mode, window=None):
         peak, code = _pool_lanes(z, window, c)
         y = np.empty((n, peak.shape[1], peak.shape[3], c), dtype=peak.dtype)
         np.maximum(peak.transpose(0, 1, 3, 2), 0.0, out=y)
-    out = _node(y, (x, kernel, bias, gamma, beta), "conv_block")
+    out = _node(y, (x, kernel, gamma, beta), "conv_block")
 
     if out.requires_grad:
         def backward(g):
@@ -831,8 +823,6 @@ def conv_block(x, kernel, bias, bn_state, mode, window=None):
                 gamma._accumulate(gdot)
             if beta.requires_grad:
                 beta._accumulate(gsum)
-            if bias.requires_grad:
-                bias._accumulate(np.zeros_like(gsum) if mode == "train" else gsum * scale)
             grows, ggrid = layout.grad_rows(g.dtype)
             gz = ggrid[:, :f].reshape(n, f, -1)[:, :, :lanes]
             if mode == "train":

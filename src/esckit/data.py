@@ -43,18 +43,15 @@ class SegmentDataset:
         return SegmentDataset(segments=keep, num_classes=self.num_classes,
                               class_names=self.class_names)
 
-    def clips(self, fold=None, include_augmented=False):
-        """clip_id -> segments, ordered by (clip_id, segment_index)."""
+    def clips(self, fold=None):
+        """clip_id -> raw segments, ordered by (clip_id, segment_index)."""
         grouped = {}
         for s in self.segments:
-            if fold is not None and s.fold != fold:
-                continue
-            if not include_augmented and s.augmented:
-                continue
-            grouped.setdefault(s.clip_id, []).append(s)
+            if (fold is None or s.fold == fold) and not s.augmented:
+                grouped.setdefault(s.clip_id, []).append(s)
         out = OrderedDict()
         for clip_id in sorted(grouped):
-            out[clip_id] = sorted(grouped[clip_id], key=lambda s: (s.augmented, s.segment_index))
+            out[clip_id] = sorted(grouped[clip_id], key=lambda s: s.segment_index)
         return out
 
     def clip_ids(self, fold=None):

@@ -113,7 +113,7 @@ def fold_split(dataset):
 
 def evaluate_fold(dataset, params, stats, fold, batch_size=64):
     """Clip accuracy plus (predictions, truths) for one held-out fold."""
-    clips = dataset.clips(fold=fold, include_augmented=False)
+    clips = dataset.clips(fold=fold)
     if not clips:
         raise ValueError(f"fold {fold} has zero clips")
     predictions = [pred for pred, _ in predict_clips(params, clips.values(), stats, batch_size)]
@@ -128,7 +128,8 @@ def cross_validate(dataset, train_config, model_config, out_dir=None):
     Per-fold runs derive their seed as base seed + fold id. Normalization
     statistics and augmented segments come from the training folds only; the
     harness re-asserts the no-leakage property on every fold. Each fold is
-    evaluated with its final parameters.
+    scored by the predictions of its last training epoch, which ``train``
+    makes with the final parameters.
     """
     split = fold_split(dataset)
     k = dataset.num_classes
@@ -142,15 +143,15 @@ def cross_validate(dataset, train_config, model_config, out_dir=None):
         test_ids = split[fold]
         if result.stats_clip_ids & test_ids or result.contributing_clip_ids & test_ids:
             raise LeakageError(f"fold {fold}: held-out clips leaked into training")
-        accuracy, predictions, truths = evaluate_fold(dataset, result.params,
-                                                      result.norm_stats, fold,
-                                                      train_config.batch_size)
+        predictions, truths = result.val_predictions, result.val_truths
+        if not truths:
+            raise ValueError(f"fold {fold} has zero clips")
         already = evaluated & test_ids
         if already:
             raise LeakageError(f"clips evaluated twice: {sorted(already)[:3]}")
         evaluated |= test_ids
         confusion += confusion_matrix(predictions, truths, k)
-        fold_accuracies[fold] = accuracy
+        fold_accuracies[fold] = float(result.history.rows[-1].val_acc)
     report = EvalReport(fold_accuracies=fold_accuracies,
                         mean_accuracy=float(np.mean(list(fold_accuracies.values()))),
                         confusion=confusion, num_classes=k, class_names=dataset.class_names)

@@ -98,7 +98,6 @@ def build(config, seed=0, dtype=np.float32):
     for i, ((kf, kt), cout) in enumerate(zip(CONV_KERNELS, config.conv_channels), start=1):
         tensors[f"conv{i}.kernel"] = Tensor(np.zeros((kf, kt, cin, cout), dtype=dtype),
                                             requires_grad=True)
-        tensors[f"conv{i}.bias"] = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
         weight_names.append(f"conv{i}.kernel")
         state = BatchNormState.create(cout, dtype=dtype)
         bn[f"bn{i}"] = state
@@ -117,7 +116,6 @@ def build(config, seed=0, dtype=np.float32):
     if placement in ("l2", "l4", "l6", "l8"):
         c_at = config.conv_channels[int(placement[1:]) - 1]
         tensors["att.kernel"] = Tensor(np.zeros((3, 3, c_at, 1), dtype=dtype), requires_grad=True)
-        tensors["att.bias"] = Tensor(np.zeros(1, dtype=dtype), requires_grad=True)
         weight_names.append("att.kernel")
     elif placement == "l10":
         if config.rnn_attention_form == "mlp":
@@ -160,19 +158,19 @@ def randomize_weights(params, seed=0):
 
 # -- attention ------------------------------------------------------------------
 
-def cnn_attention_weights(m, kernel, bias):
+def cnn_attention_weights(m, kernel):
     """Per-frame attention maps of (N, F, T, C) conv feature maps: 3x3 conv to
     one channel, frequency average-pool, softmax over time. Shape (N, 1, T, 1);
     each map sums to 1."""
-    scores = ad.conv2d(m, kernel, bias)
+    scores = ad.conv2d(m, kernel)
     n, _, t, _ = scores.shape
     pooled = ad.tensor_mean(scores, axis=1, keepdims=True)
     return ad.reshape(ad.softmax(ad.reshape(pooled, (n, t))), (n, 1, t, 1))
 
 
-def cnn_attention(m, kernel, bias):
+def cnn_attention(m, kernel):
     """Rescale each time column of a feature map by its attention weight."""
-    return ad.mul(m, cnn_attention_weights(m, kernel, bias))
+    return ad.mul(m, cnn_attention_weights(m, kernel))
 
 
 def rnn_attention_weights(h, params):
@@ -212,11 +210,11 @@ def forward(params, x, mode="infer", rng=None, trace=None):
 
     h = x
     for i in range(1, 9):
-        h = ad.conv_block(h, params.tensors[f"conv{i}.kernel"], params.tensors[f"conv{i}.bias"],
-                          params.bn[f"bn{i}"], mode, POOLS.get(i))
+        h = ad.conv_block(h, params.tensors[f"conv{i}.kernel"], params.bn[f"bn{i}"], mode,
+                          POOLS.get(i))
         if i in POOLS:
             if cfg.attention_placement == f"l{i}":
-                h = cnn_attention(h, params.tensors["att.kernel"], params.tensors["att.bias"])
+                h = cnn_attention(h, params.tensors["att.kernel"])
             if trace is not None:
                 trace.append((f"l{i}-pool", h.shape[1:]))
 

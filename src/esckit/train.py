@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as acrnn
-from .augment import AugmentConfig, mixup_arrays, sample_lambda
+from .augment import AugmentConfig
 from .cachefile import save_checkpoint, write_csv
 from .data import one_hot
 from .features import compute_norm_stats, normalize
@@ -86,6 +86,8 @@ class TrainResult:
     steps_per_epoch: int
     contributing_clip_ids: set
     stats_clip_ids: set
+    val_predictions: list  # per held-out clip, by the final parameters (last epoch)
+    val_truths: list
 
 
 def lr_schedule(epoch, config):
@@ -124,14 +126,18 @@ def mix_batch(xb, yb, alpha, rng):
     """Mixup each row of a batch in place with a random partner row.
 
     Draws every partner index first, then one Beta(alpha, alpha) weight per
-    row. Partners are read from a copy of the un-mixed batch, so a row is
-    never mixed with a row that was already mixed.
+    row, and mixes lam*row + (1-lam)*partner in float32. Each array's mix is
+    computed in full before it is written, so a row is never mixed with a row
+    that was already mixed.
     """
-    partners = rng.integers(0, len(xb), size=len(xb))
-    x0, y0 = xb.copy(), yb.copy()
-    for row, j in enumerate(partners):
-        xb[row], yb[row] = mixup_arrays(x0[row], y0[row], x0[j], y0[j],
-                                        sample_lambda(alpha, rng))
+    if alpha <= 0.0:
+        raise ValueError(f"mixup alpha must be positive, got {alpha}")
+    n = len(xb)
+    partners = rng.integers(0, n, size=n)
+    lam = rng.beta(alpha, alpha, size=n).astype(np.float32)
+    for batch in (xb, yb):
+        w = lam.reshape((n,) + (1,) * (batch.ndim - 1))
+        batch[...] = w * batch + (1 - w) * batch[partners]
 
 
 def training_split(dataset, config, held_out_fold):
@@ -173,10 +179,13 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
     """
     from .evaluate import predict_clips  # local import; evaluate builds on train
 
+    if config.epochs < 1:
+        raise ValueError(f"training needs at least one epoch, got {config.epochs}")
     train_ds = training_split(dataset, config, held_out_fold)
     if not len(train_ds):
         raise ValueError(f"no training segments outside fold {held_out_fold}")
-    val_clips = dataset.clips(fold=held_out_fold, include_augmented=False)
+    val_clips = dataset.clips(fold=held_out_fold)
+    val_truths = [segs[0].label for segs in val_clips.values()]
     held_out_ids = dataset.clip_ids(fold=held_out_fold)
 
     stats_clip_ids = {s.clip_id for s in train_ds.segments}
@@ -224,9 +233,9 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
                                f"contributed gradients in epoch {epoch}")
         contributing |= epoch_ids
 
-        predicted = predict_clips(params, val_clips.values(), stats, config.batch_size)
-        val_correct = sum(pred == segs[0].label
-                          for (pred, _), segs in zip(predicted, val_clips.values()))
+        val_predictions = [pred for pred, _ in predict_clips(params, val_clips.values(), stats,
+                                                             config.batch_size)]
+        val_correct = sum(p == t for p, t in zip(val_predictions, val_truths))
         val_acc = val_correct / len(val_clips) if val_clips else float("nan")
 
         history.rows.append(HistoryRow(
@@ -245,4 +254,5 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
         history.to_csv(os.path.join(out_dir, "history.csv"))
     return TrainResult(params=params, best_state=best_state, final_state=final_state,
                        history=history, norm_stats=stats, steps_per_epoch=steps_per_epoch,
-                       contributing_clip_ids=contributing, stats_clip_ids=stats_clip_ids)
+                       contributing_clip_ids=contributing, stats_clip_ids=stats_clip_ids,
+                       val_predictions=val_predictions, val_truths=val_truths)

@@ -118,9 +118,8 @@ def test_criterion_2_shape_oracle():
 def test_criterion_3_attention_normalization():
     rng = np.random.default_rng(2)
     kernel = Tensor(0.3 * rng.standard_normal((3, 3, 4, 1)).astype(np.float32))
-    bias = Tensor(np.zeros(1, np.float32))
     m = Tensor(rng.standard_normal((1000, 6, 9, 4)).astype(np.float32))
-    cnn_maps = acrnn.cnn_attention_weights(m, kernel, bias).data.reshape(1000, -1)
+    cnn_maps = acrnn.cnn_attention_weights(m, kernel).data.reshape(1000, -1)
     assert np.all(np.abs(cnn_maps.sum(axis=1) - 1.0) <= 1e-6)
 
     params = acrnn.build(tiny_model_config(gru_hidden=8), seed=3)

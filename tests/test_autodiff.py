@@ -15,14 +15,14 @@ def t(data, **kw):
 
 class TestConv2d:
     def test_identity_kernel(self):
-        out = ad.conv2d(t([[[[5.0]]]]), t([[[[1.0]]]]), t([0.0]))
+        out = ad.conv2d(t([[[[5.0]]]]), t([[[[1.0]]]]))
         assert out.data.shape == (1, 1, 1, 1)
         assert out.data[0, 0, 0, 0] == pytest.approx(5.0)
 
     def test_zero_input_stays_zero(self):
         rng = np.random.default_rng(0)
         kernel = t(rng.standard_normal((3, 3, 1, 4)))
-        out = ad.conv2d(t(np.zeros((1, 4, 4, 1))), kernel, t(np.zeros(4)))
+        out = ad.conv2d(t(np.zeros((1, 4, 4, 1))), kernel)
         assert np.all(out.data == 0.0)
 
     def test_hand_summed_even_kernel(self):
@@ -54,7 +54,7 @@ class TestConv2d:
         # The conv1 shape at batch 4: 128x128, 2 -> 2 channels, (3, 5) kernel.
         x = t(np.ones((4, 128, 128, 2)), requires_grad=True)
         k = t(np.ones((3, 5, 2, 2)), requires_grad=True)
-        out = ad.conv2d(x, k, t(np.zeros(2), requires_grad=True))
+        out = ad.conv2d(x, k)
         roots = {}
         for cell in out._backward.__closure__:
             arr = cell.cell_contents
@@ -71,16 +71,15 @@ class TestConv2d:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 5, 6, 2)).astype(np.float32)
         k = t(rng.standard_normal((3, 3, 2, 4)))
-        b = t(rng.standard_normal(4))
-        batched = ad.conv2d(t(x), k, b).data
+        batched = ad.conv2d(t(x), k).data
         for i in range(3):
-            single = ad.conv2d(t(x[i:i + 1]), k, b).data
+            single = ad.conv2d(t(x[i:i + 1]), k).data
             assert np.allclose(batched[i], single[0], atol=1e-6)
 
 
-def conv2d_reference(x, k, b, proj):
+def conv2d_reference(x, k, proj):
     """Direct per-position loop on the input padded by (k-1)//2 before and the
-    rest after: out[n, i, j] = b + sum over taps (a, c) of xp[n, i + a, j + c]
+    rest after: out[n, i, j] = sum over taps (a, c) of xp[n, i + a, j + c]
     @ k[a, c], with the gradients of sum(out * proj)."""
     n, f, t, _ = x.shape
     kf, kt, _, _ = k.shape
@@ -92,11 +91,11 @@ def conv2d_reference(x, k, b, proj):
         for i in range(f):
             for j in range(t):
                 patch = xp[q, i:i + kf, j:j + kt, :]
-                out[q, i, j] = np.einsum("abc,abco->o", patch, k) + b
+                out[q, i, j] = np.einsum("abc,abco->o", patch, k)
                 gk += patch[:, :, :, None] * proj[q, i, j]
                 gxp[q, i:i + kf, j:j + kt, :] += k @ proj[q, i, j]
     gx = gxp[:, pf0:pf0 + f, pt0:pt0 + t, :]
-    return out, gx, gk, proj.sum(axis=(0, 1, 2))
+    return out, gx, gk
 
 
 # Super-row width S = ceil(16 / max(cin, cout)) and band count nb = ceil((S + kt - 1) / S):
@@ -115,18 +114,16 @@ def test_conv2d_matches_per_position_reference(kernel_size, batch, dtype, cin, c
     rng = np.random.default_rng(20)
     x = rng.standard_normal((2, 7, 9, cin)).astype(dtype)[:batch]
     k = rng.standard_normal(kernel_size + (cin, cout)).astype(dtype)
-    b = rng.standard_normal(cout).astype(dtype)
-    xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, b))
-    out = ad.conv2d(xt, kt, bt)
+    xt, kt = (Tensor(a, requires_grad=True) for a in (x, k))
+    out = ad.conv2d(xt, kt)
     proj = rng.standard_normal(out.shape).astype(dtype)
     ad.tensor_sum(ad.mul(out, Tensor(proj))).backward()
-    ref_out, ref_gx, ref_gk, ref_gb = conv2d_reference(x, k, b, proj)
+    ref_out, ref_gx, ref_gk = conv2d_reference(x, k, proj)
     tol = dict(rtol=1e-4, atol=1e-4) if dtype == np.float32 else dict(rtol=1e-10, atol=1e-10)
     assert out.dtype == dtype and xt.grad.dtype == dtype and kt.grad.dtype == dtype
     assert np.allclose(out.data, ref_out, **tol)
     assert np.allclose(xt.grad, ref_gx, **tol)
     assert np.allclose(kt.grad, ref_gk, **tol)
-    assert np.allclose(bt.grad, ref_gb, **tol)
 
 
 # Under "same" padding a kernel may reach past every edge of the map.
@@ -137,14 +134,13 @@ def test_conv2d_kernel_larger_than_map_matches_reference(map_size, kernel_size):
     rng = np.random.default_rng(21)
     x = rng.standard_normal((2,) + map_size + (2,))
     k = rng.standard_normal(kernel_size + (2, 3))
-    b = rng.standard_normal(3)
-    xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, b))
-    out = ad.conv2d(xt, kt, bt)
+    xt, kt = (Tensor(a, requires_grad=True) for a in (x, k))
+    out = ad.conv2d(xt, kt)
     proj = rng.standard_normal(out.shape)
     ad.tensor_sum(ad.mul(out, Tensor(proj))).backward()
-    ref_out, ref_gx, ref_gk, ref_gb = conv2d_reference(x, k, b, proj)
+    ref_out, ref_gx, ref_gk = conv2d_reference(x, k, proj)
     assert out.shape == x.shape[:3] + (3,)
-    for got, want in ((out.data, ref_out), (xt.grad, ref_gx), (kt.grad, ref_gk), (bt.grad, ref_gb)):
+    for got, want in ((out.data, ref_out), (xt.grad, ref_gx), (kt.grad, ref_gk)):
         assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
@@ -452,19 +448,19 @@ class TestBatchnorm:
 
 
 def _conv_block_run(fused, arrays, stats, mode, window):
-    """Output, the x/kernel/bias/gamma/beta gradients of a fixed projection,
-    and the running statistics, of conv_block or of its reference chain."""
-    x, k, b, gamma, beta = (Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays)
+    """Output, the x/kernel/gamma/beta gradients of a fixed projection, and
+    the running statistics, of conv_block or of its reference chain."""
+    x, k, gamma, beta = (Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays)
     state = BatchNormState(gamma=gamma, beta=beta, running_mean=stats[0].copy(),
                            running_var=stats[1].copy())
     if fused:
-        out = ad.conv_block(x, k, b, state, mode, window)
+        out = ad.conv_block(x, k, state, mode, window)
     else:
-        out = ad.relu(ad.batchnorm(ad.conv2d(x, k, b), state, mode))
+        out = ad.relu(ad.batchnorm(ad.conv2d(x, k), state, mode))
         out = ad.maxpool2d(out, window) if window else out
     proj = np.random.default_rng(5).standard_normal(out.shape)
     ad.tensor_sum(ad.mul(out, Tensor(proj))).backward()
-    return [out.data, x.grad, k.grad, b.grad, gamma.grad, beta.grad,
+    return [out.data, x.grad, k.grad, gamma.grad, beta.grad,
             state.running_mean, state.running_var]
 
 
@@ -474,20 +470,14 @@ def _conv_block_run(fused, arrays, stats, mode, window):
 def test_conv_block_matches_reference_chain(window, mode, kernel_size):
     rng = np.random.default_rng(21)
     arrays = (rng.standard_normal((3, 9, 11, 2)), 0.5 * rng.standard_normal(kernel_size + (2, 3)),
-              rng.standard_normal(3), np.array([1.2, -0.7, 0.4]), rng.standard_normal(3))
+              np.array([1.2, -0.7, 0.4]), rng.standard_normal(3))
     stats = 0.2 * rng.standard_normal(3), 0.5 + rng.uniform(size=3)
     fused = _conv_block_run(True, arrays, stats, mode, window)
     ref = _conv_block_run(False, arrays, stats, mode, window)
-    names = ("out", "x", "kernel", "bias", "gamma", "beta", "running_mean", "running_var")
+    names = ("out", "x", "kernel", "gamma", "beta", "running_mean", "running_var")
     for name, got, want in zip(names, fused, ref):
         assert got.shape == want.shape and got.dtype == np.float64, name
-        if name == "bias" and mode == "train":
-            # The bias cancels in train-mode batch norm: the fused gradient is
-            # exactly 0, the reference's a rounding residue.
-            assert np.all(got == 0.0)
-            assert np.abs(want).max() < 1e-12 * np.abs(ref[1]).max()
-        else:
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 def test_conv_block_breaks_window_ties_like_maxpool2d():
@@ -499,7 +489,7 @@ def test_conv_block_breaks_window_ties_like_maxpool2d():
     x = rng.uniform(0.0, 0.5, size=(2, 12, 12, 1))
     x[:, 2:7, 3:9] = 0.5
     x[:, 1, 5:9] = 0.5
-    arrays = (x, np.ones((1, 1, 1, 1)), np.zeros(1), np.ones(1), np.zeros(1))
+    arrays = (x, np.ones((1, 1, 1, 1)), np.ones(1), np.zeros(1))
     stats = np.zeros(1), np.ones(1)
     fused = _conv_block_run(True, arrays, stats, "infer", (4, 3))[1]
     ref = _conv_block_run(False, arrays, stats, "infer", (4, 3))[1]
@@ -514,14 +504,13 @@ def test_conv_block_is_one_node():
     rng = np.random.default_rng(23)
     x = t(rng.standard_normal((2, 8, 6, 2)), requires_grad=True)
     kernel = t(rng.standard_normal((3, 5, 2, 2)), requires_grad=True)
-    out = ad.conv_block(x, kernel, t(np.zeros(2), requires_grad=True),
-                        BatchNormState.create(2), "train", (4, 3))
+    out = ad.conv_block(x, kernel, BatchNormState.create(2), "train", (4, 3))
     assert out.shape == (2, 2, 2, 2) and out.dtype == np.float32
     assert [n._op for n in out._topo_order() if n._prev] == ["conv_block"]
     with pytest.raises(ShapeError):
-        ad.conv_block(x, kernel, t(np.zeros(2)), BatchNormState.create(3), "train", None)
+        ad.conv_block(x, kernel, BatchNormState.create(3), "train", None)
     with pytest.raises(ShapeError):
-        ad.conv_block(x, kernel, t(np.zeros(2)), BatchNormState.create(2), "train", (9, 3))
+        ad.conv_block(x, kernel, BatchNormState.create(2), "train", (9, 3))
 
 
 class TestActivationsAndDropout:

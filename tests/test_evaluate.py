@@ -7,7 +7,7 @@ from esckit import model as acrnn
 from esckit.augment import AugmentConfig
 from esckit.data import SegmentDataset
 from esckit.features import LogGTSegment, NormStats, apply_norm
-from esckit.train import TrainConfig
+from esckit.train import TrainConfig, train
 
 
 def quick_train_config(**kw):
@@ -196,6 +196,16 @@ class TestCrossValidate:
         assert (tmp_path / "confusion.csv").exists()
         header = (tmp_path / "confusion.csv").read_text().splitlines()[0]
         assert "class0" in header and "class1" in header
+
+    def test_fold_scores_are_the_final_parameters_evaluation(self):
+        dataset = make_segment_dataset(n_clips=20, augmented_copies=1)
+        config = quick_train_config(
+            epochs=2, augmentation=AugmentConfig(copies_per_clip=1, mixup_enabled=True))
+        result = train(dataset, config, tiny_model_config(), held_out_fold=3)
+        accuracy, predictions, truths = ev.evaluate_fold(dataset, result.params,
+                                                         result.norm_stats, 3)
+        assert (result.val_predictions, result.val_truths) == (predictions, truths)
+        assert result.history.rows[-1].val_acc == accuracy
 
     def test_same_seed_reproducible(self):
         dataset = make_segment_dataset(n_clips=10, segs_per_clip=1)

@@ -30,9 +30,9 @@ class TestBuild:
     def test_parameter_count_frozen_for_paper_config(self):
         # regression value enumerated once from the layer shape table
         params = acrnn.build(acrnn.ACRNNConfig(num_classes=50), seed=0)
-        assert params.parameter_count() == 4_351_282
+        assert params.parameter_count() == 4_350_322
         again = acrnn.build(acrnn.ACRNNConfig(num_classes=50), seed=99)
-        assert again.parameter_count() == 4_351_282
+        assert again.parameter_count() == 4_350_322
 
     def test_same_seed_bitwise_identical(self):
         a = acrnn.build(tiny_config(), seed=7)
@@ -44,7 +44,7 @@ class TestBuild:
         params = acrnn.build(tiny_config(), seed=0)
         for i in range(1, 9):
             assert np.all(params.tensors[f"bn{i}.gamma"].data == 1.0)
-            assert np.all(params.tensors[f"conv{i}.bias"].data == 0.0)
+            assert np.all(params.tensors[f"bn{i}.beta"].data == 0.0)
 
     def test_invalid_placement_rejected(self):
         with pytest.raises(ValueError):
@@ -87,14 +87,13 @@ class TestCnnAttention:
     def _setup(self, rng):
         m = Tensor(rng.standard_normal((2, 5, 6, 3)).astype(np.float32))
         kernel = Tensor(0.3 * rng.standard_normal((3, 3, 3, 1)).astype(np.float32))
-        bias = Tensor(np.zeros(1, np.float32))
-        return m, kernel, bias
+        return m, kernel
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            m, kernel, bias = self._setup(rng)
-            a = acrnn.cnn_attention_weights(m, kernel, bias).data
+            m, kernel = self._setup(rng)
+            a = acrnn.cnn_attention_weights(m, kernel).data
             assert a.shape == (2, 1, 6, 1)
             assert np.all(np.abs(a.sum(axis=(1, 2, 3)) - 1.0) <= 1e-6)
 
@@ -102,14 +101,13 @@ class TestCnnAttention:
         rng = np.random.default_rng(4)
         m = Tensor(rng.standard_normal((1, 4, 8, 2)).astype(np.float32))
         kernel = Tensor(np.zeros((3, 3, 2, 1), np.float32))
-        bias = Tensor(np.zeros(1, np.float32))
-        out = acrnn.cnn_attention(m, kernel, bias).data
+        out = acrnn.cnn_attention(m, kernel).data
         assert np.allclose(out, m.data / 8.0, atol=1e-6)
 
     def test_output_shape_equals_input(self):
         rng = np.random.default_rng(5)
-        m, kernel, bias = self._setup(rng)
-        assert acrnn.cnn_attention(m, kernel, bias).shape == m.shape
+        m, kernel = self._setup(rng)
+        assert acrnn.cnn_attention(m, kernel).shape == m.shape
 
 
 class TestRnnAttention:
@@ -205,6 +203,21 @@ def test_every_op_of_a_train_step_has_a_finite_difference_row():
         assert not missing, (placement, missing)
 
 
+def test_every_parameter_gets_a_gradient():
+    # At 128x128 the GRUs run 7 steps (at 32x32 only one, where every w_h
+    # reads the zero initial state). Without attention or with a CNN one the
+    # head reads the last GRU step only, where gru2's backward direction has
+    # consumed one frame from the zero state, so its w_h gets no gradient.
+    x = np.random.default_rng(0).standard_normal((2, 128, 128, 2)).astype(np.float32)
+    for placement in acrnn.PLACEMENTS:
+        params = acrnn.build(tiny_config(attention_placement=placement, dropout_p=0.0,
+                                         input_bands=128, input_frames=128), seed=0)
+        probs = acrnn.forward(params, x, mode="train")
+        ad.cross_entropy(probs, Tensor(one_hot([0, 2], 3))).backward()
+        inert = [name for name, t in params.tensors.items() if not np.any(t.grad)]
+        assert inert == ([] if placement == "l10" else ["gru2.bw.w_h"]), placement
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         params = acrnn.build(tiny_config(), seed=14)
@@ -260,6 +273,13 @@ class TestCheckpoint:
         state = acrnn.state_arrays(params)
         state["conv1.kernel"] = state["conv1.kernel"][:1]
         with pytest.raises(cf.CheckpointFormatError, match="shape"):
+            acrnn.load_state(params, state)
+
+    def test_checkpoint_with_conv_biases_rejected(self):
+        params = acrnn.build(tiny_config(), seed=0)
+        state = acrnn.state_arrays(params)
+        state["conv1.bias"] = np.zeros(2, np.float32)
+        with pytest.raises(cf.CheckpointFormatError, match="unexpected.*conv1.bias"):
             acrnn.load_state(params, state)
 
     def test_state_name_mismatch_rejected(self):

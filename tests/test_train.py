@@ -7,7 +7,7 @@ from conftest import make_segment_dataset, tiny_model_config
 from esckit import autodiff as ad
 from esckit import model as acrnn
 from esckit import train as tr
-from esckit.augment import AugmentConfig, sample_lambda
+from esckit.augment import AugmentConfig, mixup_arrays, sample_lambda
 from esckit.autodiff import Tensor
 from esckit.data import one_hot
 
@@ -78,7 +78,7 @@ class TestSgdNesterovStep:
 
     def test_weight_decay_skips_biases_and_batch_norm(self):
         params, w = self._one_param(1.0, 0.0)
-        exempt = ("conv1.bias", "bn1.gamma", "bn1.beta", "fc.bias")
+        exempt = ("gru1.fw.b", "bn1.gamma", "bn1.beta", "fc.bias")
         for name in exempt:
             params.tensors[name].data[:] = 100.0
         state = tr.OptimizerState.create(params)
@@ -163,6 +163,23 @@ def test_mix_batch_draws_partners_from_the_unmixed_batch():
         lam32 = np.float32(lam)
         assert np.allclose(xb[row], lam32 * x[row] + (1 - lam32) * x[j], rtol=1e-6, atol=1e-6)
         assert np.allclose(yb[row], lam * y[row] + (1 - lam) * y[j], atol=1e-6)
+
+
+def test_mix_batch_equals_the_per_row_mixup_bitwise():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        x = rng.standard_normal((16, 4, 3, 2)).astype(np.float32)
+        y = one_hot(rng.integers(0, 5, size=16), 5)
+        xb, yb = x.copy(), y.copy()
+        seed = int(rng.integers(1 << 30))
+        tr.mix_batch(xb, yb, 0.2, np.random.default_rng(seed))
+        replay = np.random.default_rng(seed)
+        partners = replay.integers(0, 16, size=16)
+        for row, j in enumerate(partners):
+            want_x, want_y = mixup_arrays(x[row], y[row], x[j], y[j], sample_lambda(0.2, replay))
+            assert xb[row].tobytes() == want_x.tobytes() and yb[row].tobytes() == want_y.tobytes()
+    with pytest.raises(ValueError):
+        tr.mix_batch(xb, yb, 0.0, np.random.default_rng(0))
 
 
 class TestEpochBatches:
