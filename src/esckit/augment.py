@@ -47,15 +47,16 @@ def _istft(spec, n_fft=PV_WINDOW, hop=PV_HOP):
     """
     n_frames = spec.shape[0]
     parts = n_fft // hop
-    window = np.hanning(n_fft)
-    frames = (np.fft.irfft(spec, n=n_fft, axis=1) * window).reshape(n_frames, parts, hop)
-    squares = (window * window).reshape(parts, hop)
+    window = np.hanning(n_fft).reshape(parts, hop)
+    frames = np.fft.irfft(spec, n=n_fft, axis=1).reshape(n_frames, parts, hop)
+    frames *= window
+    squares = window * window
     out = np.zeros((n_frames + parts - 1, hop))
     norm = np.zeros_like(out)
     for k in range(parts - 1, -1, -1):
         out[k:k + n_frames] += frames[:, k]
         norm[k:k + n_frames] += squares[k]
-    return (out / np.maximum(norm, 1e-8)).ravel()
+    return np.divide(out, np.maximum(norm, 1e-8, out=norm), out=out).ravel()
 
 
 def _analyse(clip):
@@ -82,12 +83,21 @@ def _stretch(analysis, rate):
     steps = np.arange(0.0, magnitude.shape[0] - 1, rate)
     i = steps.astype(np.intp)
     frac = (steps - i)[:, None]
-    mag = (1.0 - frac) * magnitude[i] + frac * magnitude[i + 1]
+    mag = magnitude[i]
+    mag *= 1.0 - frac
+    mag += frac * magnitude[i + 1]
     expected = 2.0 * np.pi * PV_HOP * np.arange(magnitude.shape[1]) / PV_WINDOW
-    dphi = phase[i + 1] - phase[i] - expected
+    # Row 0 of the phase steps is the first analysis phase, row m + 1 the
+    # expected advance plus the wrapped deviation at step m.
+    acc = np.empty(mag.shape)
+    acc[0] = phase[0]
+    dphi = np.subtract(phase[i[:-1] + 1], phase[i[:-1]], out=acc[1:])
+    dphi -= expected
     dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
-    phase_acc = np.cumsum(np.concatenate([phase[:1], expected + dphi[:-1]]), axis=0)
-    return _istft(mag * np.exp(1j * phase_acc))
+    dphi += expected
+    spec = np.exp(1j * np.cumsum(acc, axis=0, out=acc))
+    spec *= mag
+    return _istft(spec)
 
 
 def _shift(analysis, n, semitones, valid_range):

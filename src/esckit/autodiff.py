@@ -19,10 +19,11 @@ built from the kernel, so narrow layers run a few wide GEMMs and layers of
 The network's conv blocks (conv -> batch-norm -> ReLU -> optional max-pool)
 are one graph node each (``conv_block``), and so is each GRU direction, both
 with closed-form backward passes, so a step's graph does not grow with the
-sequence length. A block keeps only the conv's padded input, the normalized
-conv output and its own (pooled) output with a uint8 window code per cell;
-the separate ``conv2d``, ``batchnorm``, ``relu`` and ``maxpool2d`` ops stay
-as its reference and for the CNN attention's scoring conv.
+sequence length. A block keeps only the conv's padded input, the conv's
+padded output grid, in which the normalized output x_hat overwrites the conv
+output in place, and its own (pooled) output with a uint8 window code per
+cell. The separate ``conv2d``, ``batchnorm``, ``relu`` and ``maxpool2d`` ops
+stay as its reference and for the CNN attention's scoring conv.
 """
 
 from __future__ import annotations
@@ -86,9 +87,13 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, g):
+        """Add g into ``grad``. The first add writes g + 0 to a fresh array in
+        one pass, turning -0 into +0 as adding into zeros would, so that
+        ``grad`` never aliases g."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     # -- graph traversal ----------------------------------------------------
 
@@ -114,7 +119,8 @@ class Tensor:
 
         Must be called on a scalar. Interior node gradients are recomputed from
         scratch on every call while leaf gradients accumulate, so calling twice
-        without resetting ``grad`` to None doubles the leaf gradients.
+        without resetting ``grad`` to None doubles the leaf gradients. Every
+        ``grad`` is an array of its own (see ``_accumulate``).
         """
         if self.data.size != 1:
             raise GraphError(f"backward() requires a scalar, got shape {self.shape}")
@@ -477,12 +483,24 @@ class _ConvLayout:
         self.tail = (kf - 1) * self.tp + self.nb * self.s - 1
         self.lead = (kf - 1) * self.tp + kt - 1
 
+    def _frame(self, rows, lead, f0, t0):
+        """Zero rows[:lead], the rows after the (n, fp, tp, c) grid that
+        follows them, and every grid cell outside its (f, t) block at (f0, t0);
+        return that block's view, which the caller writes in full."""
+        n, f, t, _ = self.x_shape
+        rows[:lead] = 0
+        rows[lead + self.rows:] = 0
+        grid = rows[lead:lead + self.rows].reshape(n, self.fp, self.tp, -1)
+        grid[:, :f0] = 0
+        grid[:, f0 + f:] = 0
+        grid[:, f0:f0 + f, :t0] = 0
+        grid[:, f0:f0 + f, t0 + t:] = 0
+        return grid[:, f0:f0 + f, t0:t0 + t]
+
     def pad(self, x):
         """The zero-padded input as flattened (rows + tail, cin) rows."""
-        n, f, t, cin = x.shape
-        xrows = np.zeros((self.rows + self.tail, cin), dtype=x.dtype)
-        xrows[:self.rows].reshape(n, self.fp, self.tp, cin)[
-            :, self.pf0:self.pf0 + f, self.pt0:self.pt0 + t, :] = x
+        xrows = np.empty((self.rows + self.tail, x.shape[3]), dtype=x.dtype)
+        self._frame(xrows, 0, self.pf0, self.pt0)[...] = x
         return xrows
 
     def grid(self, rows, w):
@@ -493,11 +511,11 @@ class _ConvLayout:
         return out[:self.rows].reshape(n, self.fp, self.tp, w.shape[3])
 
     def grad_rows(self, dtype):
-        """Zeroed output-gradient rows and their (n, fp, tp, cout) grid view;
-        the caller writes the output gradient into the view's [:, :f, :t]."""
-        n, cout = self.x_shape[0], self.kernel_shape[3]
-        grows = np.zeros((self.lead + self.rows + self.tail, cout), dtype=dtype)
-        return grows, grows[self.lead:self.lead + self.rows].reshape(n, self.fp, self.tp, cout)
+        """Output-gradient rows, zero but for the (n, f, t, cout) "same"
+        output block of their grid, and that block's view, for the caller
+        to write."""
+        grows = np.empty((self.lead + self.rows + self.tail, self.kernel_shape[3]), dtype=dtype)
+        return grows, self._frame(grows, self.lead, 0, 0)
 
     def backward(self, x, kernel, xrows, grows):
         """Accumulate the kernel and input gradients from the output gradient
@@ -566,8 +584,8 @@ def conv2d(x, kernel):
 
     if out.requires_grad:
         def backward(g):
-            grows, ggrid = layout.grad_rows(g.dtype)
-            ggrid[:, :f, :t] = g
+            grows, gout = layout.grad_rows(g.dtype)
+            gout[...] = g
             layout.backward(x, kernel, xrows, grows)
         out._backward = backward
     return out
@@ -739,15 +757,14 @@ def _pool_lanes(z, window, c):
     return peak, code
 
 
-def _window_positions(code, window, grid_shape, start=0):
+def _window_positions(code, window, grid_shape):
     """(n, of, ot, c) flat positions of the window maxima that (n, of, c, ot)
-    ``code`` marks, in a C-contiguous array holding an (n, f, t, c) grid from
-    element ``start``."""
+    ``code`` marks, in a C-contiguous (n, f, t, c) grid."""
     n, of, c, ot = code.shape
     wf, wt = window
     _, f, t, _ = grid_shape
     r, k = np.divmod(np.arange(wf * wt), wt)
-    corner = (start + np.arange(n)[:, None, None, None] * (f * t * c)
+    corner = (np.arange(n)[:, None, None, None] * (f * t * c)
               + np.arange(of)[:, None, None] * (wf * t * c)
               + np.arange(c)[:, None] + np.arange(ot) * (wt * c))
     return (corner + ((r * t + k) * c)[code]).transpose(0, 1, 3, 2)
@@ -759,12 +776,13 @@ def conv_block(x, kernel, bn_state, mode, window=None):
 
     Equal to ``maxpool2d(relu(batchnorm(conv2d(...), bn_state, mode)), window)``
     up to summation order, with the same running-statistics update. The
-    batch-norm statistics, x_hat, the affine map and the pooling run on
-    (rows, T*C) lane views of the conv's padded output grid, which the
-    batch-norm output overwrites. Max commutes with the monotone ReLU, so the
-    ReLU runs on the pooled map. Backward keeps the padded input rows, x_hat
-    and the output with a uint8 window code per pooled cell, and writes the
-    batch-norm input gradient straight into the conv's padded gradient rows.
+    batch-norm statistics and x_hat run on (N, F, T*C) lane views of the
+    conv's padded output grid, where x_hat overwrites the conv output. The
+    affine map goes to one fresh map, which the ReLU overwrites or which is
+    pooled; max commutes with the monotone ReLU, so a pooled block's ReLU
+    runs on the pooled map. Backward keeps the padded input rows, the grid
+    holding x_hat and the output with a uint8 window code per pooled cell,
+    and writes the batch-norm input gradient into the conv's gradient rows.
     """
     x, kernel, layout = _conv_operands("conv_block", x, kernel)
     gamma, beta = bn_state.gamma, bn_state.beta
@@ -783,23 +801,24 @@ def conv_block(x, kernel, bn_state, mode, window=None):
         return lane_sums.reshape(-1, c).sum(axis=0)
 
     xrows = layout.pad(x.data)
-    z = layout.grid(xrows, kernel.data)[:, :f].reshape(n, f, -1)[:, :, :lanes]
+    grid = layout.grid(xrows, kernel.data)
+    xhat = grid[:, :f].reshape(n, f, -1)[:, :, :lanes]
     if mode == "train":
-        mu = channel_sum(np.einsum("nfl->l", z)) / m
-        xhat = z - tile(mu)
+        mu = channel_sum(np.einsum("nfl->l", xhat)) / m
+        xhat -= tile(mu)
         var = channel_sum(np.einsum("nfl,nfl->l", xhat, xhat)) / m
         _fold_running_stats(bn_state, mu, var)
     elif mode == "infer":
-        xhat = z - tile(bn_state.running_mean.astype(z.dtype))
-        var = bn_state.running_var.astype(z.dtype)
+        xhat -= tile(bn_state.running_mean.astype(xhat.dtype))
+        var = bn_state.running_var.astype(xhat.dtype)
     else:
         raise ValueError(f"unknown batchnorm mode {mode!r}")
     inv = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat *= tile(inv)
-    np.multiply(xhat, tile(gamma.data), out=z)
+    z = np.multiply(xhat, tile(gamma.data))
     z += tile(beta.data)
     if window is None:
-        y = np.maximum(z, 0.0).reshape(n, f, t, c)
+        y = np.maximum(z, 0.0, out=z).reshape(n, f, t, c)
     else:
         peak, code = _pool_lanes(z, window, c)
         y = np.empty((n, peak.shape[1], peak.shape[3], c), dtype=peak.dtype)
@@ -811,29 +830,32 @@ def conv_block(x, kernel, bn_state, mode, window=None):
             gy = g * (y > 0.0)
             # Row sums into lanes first, as batchnorm does, so that each
             # float32 sum runs over few terms.
-            rows = gy.reshape(gy.shape[0] * gy.shape[1], -1)
+            rows = gy.reshape(n, gy.shape[1], -1)
             if window is None:
-                hat = xhat.reshape(rows.shape)
+                hat = xhat
             else:
-                hat = xhat.reshape(-1)[_window_positions(code, window, x.shape[:3] + (c,))]
-            gsum = channel_sum(np.einsum("ij->j", rows))
-            gdot = channel_sum(np.einsum("ij,ij->j", rows, hat.reshape(rows.shape)))
+                # x_hat's flat grid positions; the gradient rows' are lead*c on.
+                pos = _window_positions(code, window, grid.shape)
+                hat = grid.reshape(-1)[pos].reshape(rows.shape)
+            gsum = channel_sum(np.einsum("nfl->l", rows))
+            gdot = channel_sum(np.einsum("nfl,nfl->l", rows, hat))
             scale = gamma.data * inv
             if gamma.requires_grad:
                 gamma._accumulate(gdot)
             if beta.requires_grad:
                 beta._accumulate(gsum)
-            grows, ggrid = layout.grad_rows(g.dtype)
-            gz = ggrid[:, :f].reshape(n, f, -1)[:, :, :lanes]
+            grows, gout = layout.grad_rows(g.dtype)
+            gz = gout.reshape(n, f, lanes)
             if mode == "train":
                 np.multiply(xhat, tile(-scale * gdot / m), out=gz)
                 gz += tile(-scale * gsum / m)
-            rows *= np.tile(scale, rows.shape[1] // c)
+            else:
+                gz[...] = 0
+            rows *= np.tile(scale, rows.shape[2] // c)
             if window is None:
                 gz += rows.reshape(gz.shape)
             else:
-                pos = _window_positions(code, window, ggrid.shape, start=layout.lead * c)
-                grows.reshape(-1)[pos] += rows.reshape(pos.shape)
+                grows.reshape(-1)[layout.lead * c:][pos] += rows.reshape(pos.shape)
             layout.backward(x, kernel, xrows, grows)
         out._backward = backward
     return out

@@ -215,8 +215,8 @@ def normalize(values, stats):
     """Standardize an array of (..., frames, channels) values per channel:
     (x - mean_c) / std_c in float32, for one segment or a stacked batch."""
     rows, frames = _lanes(values)
-    out = (rows - np.tile(stats.mean.astype(np.float32), frames)) \
-        / np.tile(stats.std.astype(np.float32), frames)
+    out = rows - np.tile(stats.mean.astype(np.float32), frames)
+    out /= np.tile(stats.std.astype(np.float32), frames)
     return out.astype(np.float32, copy=False).reshape(values.shape)
 
 

@@ -126,9 +126,9 @@ def mix_batch(xb, yb, alpha, rng):
     """Mixup each row of a batch in place with a random partner row.
 
     Draws every partner index first, then one Beta(alpha, alpha) weight per
-    row, and mixes lam*row + (1-lam)*partner in float32. Each array's mix is
-    computed in full before it is written, so a row is never mixed with a row
-    that was already mixed.
+    row, and mixes lam*row + (1-lam)*partner in float32. Each array's partner
+    rows are gathered before it is written, so a row is never mixed with a
+    row that was already mixed.
     """
     if alpha <= 0.0:
         raise ValueError(f"mixup alpha must be positive, got {alpha}")
@@ -137,7 +137,10 @@ def mix_batch(xb, yb, alpha, rng):
     lam = rng.beta(alpha, alpha, size=n).astype(np.float32)
     for batch in (xb, yb):
         w = lam.reshape((n,) + (1,) * (batch.ndim - 1))
-        batch[...] = w * batch + (1 - w) * batch[partners]
+        partner = batch[partners]
+        partner *= 1 - w
+        batch *= w
+        batch += partner
 
 
 def training_split(dataset, config, held_out_fold):

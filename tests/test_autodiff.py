@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import tiny_model_config
 from esckit import autodiff as ad
+from esckit import model as acrnn
+from esckit import train as tr
 from esckit.autodiff import (
     BatchNormState, BiGRUParams, GRUDirParams, GraphError, ShapeError, Tensor,
 )
+from esckit.data import one_hot
 from esckit.fdcheck import OP_TOLERANCE, op_gradient_checks
 from esckit.model import POOLS
 
@@ -511,6 +515,98 @@ def test_conv_block_is_one_node():
         ad.conv_block(x, kernel, BatchNormState.create(3), "train", None)
     with pytest.raises(ShapeError):
         ad.conv_block(x, kernel, BatchNormState.create(2), "train", (9, 3))
+
+
+def _poisoned(make):
+    """``make`` with every new array filled with NaN (or 85 when integral), so
+    that a cell nobody writes shows in the results."""
+    def poisoned(*args, **kwargs):
+        arr = make(*args, **kwargs)
+        arr.fill(np.nan if arr.dtype.kind in "fc" else 85)
+        return arr
+    return poisoned
+
+
+def _train_step_arrays():
+    """Probabilities, parameter gradients and updated parameters of one seeded
+    tiny-config train step."""
+    params = acrnn.build(tiny_model_config(), seed=7)
+    rng = np.random.default_rng(25)
+    xb = rng.standard_normal((4, 32, 32, 2)).astype(np.float32)
+    probs = acrnn.forward(params, xb, mode="train", rng=np.random.default_rng(26))
+    ad.cross_entropy(probs, Tensor(one_hot([0, 1, 1, 0], 2))).backward()
+    grads = [p.grad.copy() for p in params.tensors.values()]
+    tr.sgd_nesterov_step(params, tr.OptimizerState.create(params), 0.01)
+    return [probs.data] + grads + [p.data for p in params.tensors.values()]
+
+
+def _conv_runs():
+    """Outputs and gradients of conv_block in both modes, with and without a
+    window, of conv2d, and of one tiny-config train step."""
+    rng = np.random.default_rng(24)
+    arrays = (rng.standard_normal((3, 9, 11, 2)), 0.5 * rng.standard_normal((3, 5, 2, 3)),
+              np.array([1.2, -0.7, 0.4]), rng.standard_normal(3))
+    stats = 0.2 * rng.standard_normal(3), 0.5 + rng.uniform(size=3)
+    runs = [_conv_block_run(True, arrays, stats, mode, window)
+            for mode in ("train", "infer") for window in ((2, 2), None)]
+    x, k = (Tensor(a, requires_grad=True) for a in arrays[:2])
+    out = ad.conv2d(x, k)
+    ad.tensor_sum(ad.mul(out, Tensor(rng.standard_normal(out.shape)))).backward()
+    return runs + [[out.data, x.grad, k.grad], _train_step_arrays()]
+
+
+def test_every_fresh_buffer_is_written_in_full(monkeypatch):
+    # The padded conv input and gradient rows zero only their borders; with
+    # every np.empty/np.empty_like poisoned, a missed cell would turn to NaN.
+    clean = _conv_runs()
+    monkeypatch.setattr(np, "empty", _poisoned(np.empty))
+    monkeypatch.setattr(np, "empty_like", _poisoned(np.empty_like))
+    assert np.isnan(np.empty(2)).all()
+    for want, got in zip(clean, _conv_runs(), strict=True):
+        for a, b in zip(want, got, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_grad_never_aliases_the_array_first_accumulated(monkeypatch):
+    firsts = []
+    accumulate = Tensor._accumulate
+
+    def spy(self, g):
+        if self.grad is None:
+            firsts.append((self, g))
+        accumulate(self, g)
+
+    monkeypatch.setattr(Tensor, "_accumulate", spy)
+    _train_step_arrays()
+    writable = [(node, g) for node, g in firsts
+                if isinstance(g, np.ndarray) and g.flags.writeable]
+    assert len(writable) > 10
+    for node, g in writable:
+        before, kept = node.grad.copy(), g.copy()
+        g[...] = 7.0
+        assert node.grad.tobytes() == before.tobytes(), node
+        g[...] = kept
+
+
+def test_graphs_built_together_give_the_one_at_a_time_gradients():
+    params = acrnn.build(tiny_model_config(dropout_p=0.0), seed=8)
+    rng = np.random.default_rng(27)
+    batches = [rng.standard_normal((3, 32, 32, 2)).astype(np.float32) for _ in range(2)]
+    targets = Tensor(one_hot([0, 1, 0], 2))
+
+    def loss(xb):
+        return ad.cross_entropy(acrnn.forward(params, xb, mode="train"), targets)
+
+    def gradients(graph):
+        for p in params.tensors.values():
+            p.grad = None
+        graph.backward()
+        return [p.grad.copy() for p in params.tensors.values()]
+
+    alone = [gradients(loss(xb)) for xb in batches]
+    together = [gradients(graph) for graph in [loss(xb) for xb in batches]]
+    for want, got in zip(alone, together):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(want, got, strict=True))
 
 
 class TestActivationsAndDropout:
