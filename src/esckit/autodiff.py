@@ -17,13 +17,14 @@ built from the kernel, so narrow layers run a few wide GEMMs and layers of
 16 channels or more (S = 1) run one GEMM per kernel tap.
 
 The network's conv blocks (conv -> batch-norm -> ReLU -> optional max-pool)
-are one graph node each (``conv_block``), and so is each GRU direction, both
-with closed-form backward passes, so a step's graph does not grow with the
-sequence length. A block keeps only the conv's padded input, the conv's
-padded output grid, in which the normalized output x_hat overwrites the conv
-output in place, and its own (pooled) output with a uint8 window code per
-cell. The separate ``conv2d``, ``batchnorm``, ``relu`` and ``maxpool2d`` ops
-stay as its reference and for the CNN attention's scoring conv.
+are one graph node each (``conv_block``), and so is each GRU direction and
+the loss, all with closed-form backward passes, so a step's graph does not
+grow with the sequence length. A block keeps only the conv's padded input,
+the conv's padded output grid, in which the normalized output x_hat
+overwrites the conv output in place, and its own (pooled) output with a
+uint8 window code per cell. ``conv2d`` also serves the CNN attention's
+scoring conv; ``batchnorm``, ``relu`` and ``maxpool2d`` are the references
+that the block is tested against, and no train or infer step calls them.
 """
 
 from __future__ import annotations
@@ -208,28 +209,6 @@ def mul(a, b):
     return out
 
 
-def log(x):
-    x = as_tensor(x)
-    out = _node(np.log(x.data), (x,), "log")
-    if out.requires_grad:
-        def backward(g):
-            x._accumulate(g / x.data)
-        out._backward = backward
-    return out
-
-
-def clamp_min(x, floor):
-    """max(x, floor); gradient flows only where x > floor."""
-    x = as_tensor(x)
-    out = _node(np.maximum(x.data, floor), (x,), "clamp_min")
-    if out.requires_grad:
-        mask = x.data > floor
-        def backward(g):
-            x._accumulate(g * mask)
-        out._backward = backward
-    return out
-
-
 # -- activations --------------------------------------------------------------
 
 def relu(x):
@@ -384,18 +363,14 @@ def matmul(a, b):
     return out
 
 
-def dense(x, weight, bias=None):
+def dense(x, weight, bias):
     """Affine map rows(x) @ weight + bias."""
-    x, weight = as_tensor(x), as_tensor(weight)
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"dense: input width {x.shape[-1]} != weight rows {weight.shape[0]}")
-    out = matmul(x, weight)
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.shape[-1] != weight.shape[1]:
-            raise ShapeError(f"dense: bias width {bias.shape[-1]} != weight cols {weight.shape[1]}")
-        out = add(out, bias)
-    return out
+    if bias.shape[-1] != weight.shape[1]:
+        raise ShapeError(f"dense: bias width {bias.shape[-1]} != weight cols {weight.shape[1]}")
+    return add(matmul(x, weight), bias)
 
 
 def softmax(x):
@@ -661,64 +636,42 @@ def _fold_running_stats(state, mean, var):
 def batchnorm(x, state, mode):
     """Normalize over every axis except the trailing channel axis.
 
-    Train mode uses batch statistics (differentiable through them) and folds
-    the batch mean/variance into the running statistics; infer mode uses the
-    running statistics as constants. Either mode is one graph node whose
-    backward is the closed form of Ioffe & Szegedy (2015) and keeps only the
-    normalized input x_hat and 1/sigma.
-
-    The work runs on a (rows, T*C) view, T being the axis before the channels
-    (1 for 2-D input): per-channel vectors are tiled T times, and a channel
-    reduction sums the rows into T*C lanes, then folds the T lane groups.
-    Each numpy inner loop is T*C long instead of C, and each float32 row sum
-    runs over T times fewer terms.
+    Train mode uses batch statistics (differentiable through them), summed in
+    float64, and folds the batch mean/variance into the running statistics;
+    infer mode uses the running statistics as constants. Either mode is one
+    graph node whose backward is the closed form of Ioffe & Szegedy (2015).
+    No train or infer step calls it: it is the reference ``conv_block`` is
+    tested against.
     """
     x = as_tensor(x)
     gamma, beta = state.gamma, state.beta
-    c = x.shape[-1]
-    if c != gamma.shape[0]:
-        raise ShapeError(f"batchnorm: channels {c} != state channels {gamma.shape[0]}")
-    lanes = x.shape[-2] if x.ndim > 2 else 1
-    x2 = x.data.reshape(-1, lanes * c)
-    m = x2.shape[0] * lanes
-
-    def channel_sum(lane_sums):
-        return lane_sums.reshape(lanes, c).sum(axis=0)
-
+    if x.shape[-1] != gamma.shape[0]:
+        raise ShapeError(f"batchnorm: channels {x.shape[-1]} != state channels {gamma.shape[0]}")
+    axes = tuple(range(x.ndim - 1))
+    m = x.data.size // x.shape[-1]
     if mode == "train":
-        mu = channel_sum(np.einsum("ij->j", x2)) / m
-        xhat = x2 - np.tile(mu, lanes)
-        var = channel_sum(np.einsum("ij,ij->j", xhat, xhat)) / m
+        mu = x.data.mean(axis=axes, dtype=np.float64).astype(x.dtype)
+        var = x.data.var(axis=axes, dtype=np.float64).astype(x.dtype)
         _fold_running_stats(state, mu, var)
     elif mode == "infer":
-        xhat = x2 - np.tile(state.running_mean.astype(x.dtype), lanes)
-        var = state.running_var.astype(x.dtype)
+        mu, var = state.running_mean.astype(x.dtype), state.running_var.astype(x.dtype)
     else:
         raise ValueError(f"unknown batchnorm mode {mode!r}")
     inv = 1.0 / np.sqrt(var + BN_EPSILON)
-    xhat *= np.tile(inv, lanes)
-    y = xhat * np.tile(gamma.data, lanes) + np.tile(beta.data, lanes)
-    out = _node(y.reshape(x.shape), (x, gamma, beta), "batchnorm")
+    xhat = (x.data - mu) * inv
+    out = _node(xhat * gamma.data + beta.data, (x, gamma, beta), "batchnorm")
 
     if out.requires_grad:
         def backward(g):
-            g2 = g.reshape(-1, lanes * c)
-            gsum = channel_sum(np.einsum("ij->j", g2))
-            gdot = channel_sum(np.einsum("ij,ij->j", g2, xhat))
+            gsum = g.sum(axis=axes)
+            gdot = (g * xhat).sum(axis=axes)
             if gamma.requires_grad:
                 gamma._accumulate(gdot)
             if beta.requires_grad:
                 beta._accumulate(gsum)
             if x.requires_grad:
-                scale = np.tile(gamma.data * inv, lanes)
-                if mode == "train":
-                    gx = xhat * np.tile(-gdot / m, lanes)
-                    gx += g2
-                    gx -= np.tile(gsum / m, lanes)
-                    gx *= scale
-                else:
-                    gx = g2 * scale
-                x._accumulate(gx.reshape(x.shape))
+                gx = g - gsum / m - xhat * gdot / m if mode == "train" else g
+                x._accumulate(gx * (gamma.data * inv))
         out._backward = backward
     return out
 
@@ -828,8 +781,8 @@ def conv_block(x, kernel, bn_state, mode, window=None):
     if out.requires_grad:
         def backward(g):
             gy = g * (y > 0.0)
-            # Row sums into lanes first, as batchnorm does, so that each
-            # float32 sum runs over few terms.
+            # Row sums into lanes first, so that each float32 sum runs over
+            # few terms.
             rows = gy.reshape(n, gy.shape[1], -1)
             if window is None:
                 hat = xhat
@@ -973,11 +926,22 @@ CE_PROB_FLOOR = 1e-7
 
 def cross_entropy(probs, targets):
     """Mean over the batch of -sum(target * log(prob)), on soft labels, with
-    each prob clamped below at ``CE_PROB_FLOOR``."""
+    each prob clamped below at ``CE_PROB_FLOOR``, as one graph node.
+
+    The targets are constants: no gradient flows to them. The probs' gradient
+    is -target / (N * prob) over the N rows, and 0 where a prob is clamped.
+    """
     probs = as_tensor(probs)
     targets = as_tensor(targets, dtype=probs.dtype)
     if probs.shape != targets.shape:
         raise ShapeError(f"cross_entropy: probs {probs.shape} != targets {targets.shape}")
-    logp = log(clamp_min(probs, CE_PROB_FLOOR))
-    per_row = tensor_sum(mul(targets, logp), axis=-1)
-    return mul(tensor_mean(per_row), -1.0)
+    p, t = probs.data, targets.data
+    clamped = np.maximum(p, CE_PROB_FLOOR)
+    per_row = (t * np.log(clamped)).sum(axis=-1)
+    out = _node(-per_row.mean(), (probs,), "cross_entropy")
+
+    if out.requires_grad:
+        def backward(g):
+            probs._accumulate((-g / per_row.size) * t / clamped * (p > CE_PROB_FLOOR))
+        out._backward = backward
+    return out

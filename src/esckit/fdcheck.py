@@ -90,9 +90,6 @@ def op_gradient_checks(seed=0):
     p34 = _projector((3, 4), rng)
     run("add", lambda a, b: ad.tensor_sum(ad.mul(ad.add(a, b), p34)), x34, y34)
     run("mul", lambda a, b: ad.tensor_sum(ad.mul(ad.mul(a, b), p34)), x34, y34)
-    run("log", lambda a: ad.tensor_sum(ad.mul(ad.log(a), p34)), np.abs(x34) + 0.5)
-    run("clamp_min", lambda a: ad.tensor_sum(ad.mul(ad.clamp_min(a, 0.0), p34)),
-        _away_from_zero(x34))
     run("relu", lambda a: ad.tensor_sum(ad.mul(ad.relu(a), p34)), _away_from_zero(x34))
     run("sigmoid", lambda a: ad.tensor_sum(ad.mul(ad.sigmoid(a), p34)), x34)
     run("tanh", lambda a: ad.tensor_sum(ad.mul(ad.tanh(a), p34)), x34)

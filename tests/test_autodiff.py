@@ -224,13 +224,13 @@ class TestDense:
 
     def test_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            ad.dense(t(np.zeros((2, 3))), t(np.zeros((4, 5))))
+            ad.dense(t(np.zeros((2, 3))), t(np.zeros((4, 5))), t(np.zeros(5)))
 
     def test_linear_in_input(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 4)).astype(np.float32)
-        w = t(rng.standard_normal((4, 5)))
-        assert np.allclose(ad.dense(t(2.0 * x), w).data, 2.0 * ad.dense(t(x), w).data,
+        w, b = t(rng.standard_normal((4, 5))), t(np.zeros(5))
+        assert np.allclose(ad.dense(t(2.0 * x), w, b).data, 2.0 * ad.dense(t(x), w, b).data,
                            rtol=1e-5, atol=1e-6)
 
 
@@ -655,6 +655,32 @@ class TestCrossEntropy:
     def test_zero_probability_is_clamped(self):
         loss = ad.cross_entropy(t([[1.0, 0.0]]), t([[0.0, 1.0]]))
         assert loss.item() == pytest.approx(-np.log(1e-7), rel=1e-4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_is_zero_where_clamped_and_minus_t_over_np_elsewhere(self, dtype):
+        # Mixup (soft) labels, with a prob below the floor under a nonzero target.
+        p = np.array([[0.7, 0.3, 0.0], [0.2, 1e-9, 0.8], [0.25, 0.25, 0.5], [0.1, 0.6, 0.3]])
+        targets = np.array([[0.6, 0.0, 0.4], [0.0, 0.8, 0.2], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]])
+        probs = Tensor(p, requires_grad=True, dtype=dtype)
+        loss = ad.cross_entropy(probs, Tensor(targets, dtype=dtype))
+        loss.backward()
+        assert np.isfinite(loss.item())
+        assert probs.grad.dtype == dtype
+        clamped = p <= ad.CE_PROB_FLOOR
+        assert np.all(probs.grad[clamped] == 0.0)
+        kept = p.astype(dtype)[~clamped].astype(np.float64)
+        want = -targets[~clamped] / (len(p) * kept)
+        assert np.allclose(probs.grad[~clamped], want,
+                           rtol=1e-6 if dtype == np.float32 else 1e-14, atol=0.0)
+
+    def test_is_one_node(self):
+        probs = ad.softmax(t(np.random.default_rng(24).standard_normal((3, 4)), requires_grad=True))
+        loss = ad.cross_entropy(probs, t(np.full((3, 4), 0.25), requires_grad=True))
+        assert loss.shape == () and loss.dtype == np.float32
+        assert [n._op for n in loss._topo_order() if n._prev] == ["softmax", "cross_entropy"]
+        assert loss._prev == (probs,)
+        with pytest.raises(ShapeError):
+            ad.cross_entropy(probs, t(np.full((3, 3), 1 / 3)))
 
 
 class TestBackward:

@@ -188,10 +188,17 @@ class TestRnnAttention:
 
 # Graph node ops whose finite-difference row has another name.
 FD_ROW_OF_OP = {"gru": "gru_bidirectional"}
+# Finite-difference rows that check an op under another name or in another
+# form; an "_infer" row checks its op in infer mode.
+OP_OF_FD_ROW = {"dense": "matmul", "gru_bidirectional": "gru", "conv2d_even_kernel": "conv2d",
+                "mean_over_freq": "mean"}
+# Ops that no train step builds, kept as the references of fused ones.
+REFERENCE_OPS = {"relu", "sigmoid", "maxpool2d", "batchnorm"}
 
 
 def test_every_op_of_a_train_step_has_a_finite_difference_row():
     rows = set(op_gradient_checks())
+    built = set()
     x = np.random.default_rng(0).standard_normal((2, 32, 32, 2)).astype(np.float32)
     for placement in acrnn.PLACEMENTS:
         params = acrnn.build(tiny_config(attention_placement=placement), seed=0)
@@ -201,6 +208,12 @@ def test_every_op_of_a_train_step_has_a_finite_difference_row():
         assert "conv_block" in ops and "gru" in ops, placement
         missing = {op for op in ops if FD_ROW_OF_OP.get(op, op) not in rows}
         assert not missing, (placement, missing)
+        built |= ops
+    # The converse: every row checks an op that some train step builds, or a
+    # reference, so that no op outlives its last caller.
+    unmapped = {row for row in rows
+                if OP_OF_FD_ROW.get(row, row.removesuffix("_infer")) not in built | REFERENCE_OPS}
+    assert not unmapped, unmapped
 
 
 def test_every_parameter_gets_a_gradient():
