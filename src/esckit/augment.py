@@ -3,8 +3,13 @@
 Waveform augmentations run through a phase vocoder (1024-point STFT, 256
 hop): time stretch resamples the frame sequence while keeping per-bin phase
 advance consistent, so pitch is preserved; pitch shift is a time stretch
-followed by linear resampling back to the original duration. Mixup forms
-convex combinations of feature/label pairs with a Beta(alpha, alpha) weight.
+followed by linear resampling back to the original duration. The phase is
+carried as a unit phasor: each output frame's is the previous one times the
+rotation between the two analysis frames it reads, which is the classical
+vocoder's wrapped phase advance mod 2 pi (see _stretch), so no angle or
+complex exponential is evaluated per output bin (Laroche & Dolson 1999).
+Mixup forms convex combinations of feature/label pairs with a
+Beta(alpha, alpha) weight.
 
 A stretch rate above 1 plays faster, i.e. shortens the clip to ~N/rate
 samples.
@@ -18,6 +23,8 @@ import numpy as np
 
 PV_WINDOW = 1024
 PV_HOP = 256
+# Rows of the spectrum turned into rotations per pass of _analyse.
+_ROTATION_BLOCK = 64
 
 
 @dataclass
@@ -60,42 +67,67 @@ def _istft(spec, n_fft=PV_WINDOW, hop=PV_HOP):
 
 
 def _analyse(clip):
-    """Magnitude and phase of a clip's STFT, (frames + 1, bins), with a zero
-    frame appended for the interpolation at the last step."""
+    """Magnitude, first unit phasor and per-frame rotations of a clip's STFT.
+
+    With u = S / |S| the unit phasor of each (frame, bin), a silent bin's
+    phasor is exactly 1 (its phase angle is 0). Returns the magnitude,
+    (frames + 1, bins) with a zero frame appended for the interpolation at the
+    last step; u[0]; and rot, (frames, bins), where rot[k] = conj(u[k]) * u[k + 1]
+    and the last row rotates into the zero frame, whose phasor is 1:
+    rot[-1] = conj(u[-1]). The spectrum is turned into rot in place, so only
+    the magnitude and the rotations are kept.
+    """
     x = np.asarray(clip.samples, dtype=np.float64)
     if x.size < PV_WINDOW:
         raise ValueError(f"clip {clip.clip_id!r} shorter than one {PV_WINDOW}-sample window")
-    spec = _stft(x)
-    spec = np.concatenate([spec, np.zeros((1, spec.shape[1]), dtype=spec.dtype)])
-    return np.abs(spec), np.angle(spec)
+    u = _stft(x)
+    frames = u.shape[0]
+    magnitude = np.zeros((frames + 1, u.shape[1]))
+    mag = np.abs(u, out=magnitude[:-1])
+    voiced = mag > 0.0
+    np.divide(u.real, mag, out=u.real, where=voiced)
+    np.divide(u.imag, mag, out=u.imag, where=voiced)
+    u[~voiced] = 1.0
+    first = u[0].copy()
+    # Row k needs the unread u[k + 1]: copy each block's successors first.
+    for start in range(0, frames - 1, _ROTATION_BLOCK):
+        stop = min(start + _ROTATION_BLOCK, frames - 1)
+        successors = u[start + 1:stop + 1].copy()
+        np.conjugate(u[start:stop], out=u[start:stop])
+        u[start:stop] *= successors
+    np.conjugate(u[-1], out=u[-1])
+    return magnitude, first, u
 
 
 def _stretch(analysis, rate):
     """Phase-vocoder resynthesis of an _analyse result at the given rate.
 
     Output frame m reads analysis position m * rate: the magnitude is
-    interpolated between the two frames around it, and the phase accumulates
-    each step's expected advance plus the wrapped deviation measured there.
+    interpolated between the two frames i = floor(m * rate) and i + 1 around
+    it, and the unit phasor follows the recurrence ph[0] = u[0],
+    ph[m + 1] = ph[m] * rot[i]. The classical vocoder instead adds
+    expected + wrap(dphi - expected) to a phase angle at each step, with
+    dphi = angle(u[i + 1]) - angle(u[i]) and expected the bin's nominal
+    advance per hop. The wrap adds whole turns only, so exp(1j * step) equals
+    exp(1j * dphi) = rot[i], and the accumulated angle's phasor is the product
+    of the rotations: the same phase mod 2 pi, with no angle, wrap or complex
+    exponential evaluated, and no angle that grows with the clip's length.
     """
     if rate <= 0.0:
         raise ValueError(f"stretch rate must be positive, got {rate}")
-    magnitude, phase = analysis
+    magnitude, first, rot = analysis
     steps = np.arange(0.0, magnitude.shape[0] - 1, rate)
     i = steps.astype(np.intp)
     frac = (steps - i)[:, None]
     mag = magnitude[i]
     mag *= 1.0 - frac
     mag += frac * magnitude[i + 1]
-    expected = 2.0 * np.pi * PV_HOP * np.arange(magnitude.shape[1]) / PV_WINDOW
-    # Row 0 of the phase steps is the first analysis phase, row m + 1 the
-    # expected advance plus the wrapped deviation at step m.
-    acc = np.empty(mag.shape)
-    acc[0] = phase[0]
-    dphi = np.subtract(phase[i[:-1] + 1], phase[i[:-1]], out=acc[1:])
-    dphi -= expected
-    dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
-    dphi += expected
-    spec = np.exp(1j * np.cumsum(acc, axis=0, out=acc))
+    spec = np.empty(mag.shape, dtype=np.complex128)
+    spec[0] = first
+    # One row at a time: each row's product is one vector multiply, and numpy's
+    # multiply.accumulate down axis 0 runs slower here.
+    for m, k in enumerate(i[:-1].tolist()):
+        np.multiply(spec[m], rot[k], out=spec[m + 1])
     spec *= mag
     return _istft(spec)
 

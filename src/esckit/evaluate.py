@@ -72,8 +72,8 @@ def predict_clips(params, clips, stats, batch_size):
         raise ValueError("predict_clips needs at least one segment per clip")
     flat = [s for segs in clips for s in segs]
     probs = np.concatenate([
-        acrnn.forward(params, normalize(np.stack([s.values for s in flat[i:i + batch_size]]),
-                                        stats), mode="infer").data
+        acrnn.forward(params, normalize([s.values for s in flat[i:i + batch_size]], stats),
+                      mode="infer").data
         for i in range(0, len(flat), batch_size)])
     out, start = [], 0
     for segs in clips:

@@ -212,12 +212,18 @@ def compute_norm_stats(segments):
 
 
 def normalize(values, stats):
-    """Standardize an array of (..., frames, channels) values per channel:
-    (x - mean_c) / std_c in float32, for one segment or a stacked batch."""
-    rows, frames = _lanes(values)
-    out = rows - np.tile(stats.mean.astype(np.float32), frames)
-    out /= np.tile(stats.std.astype(np.float32), frames)
-    return out.astype(np.float32, copy=False).reshape(values.shape)
+    """Standardize (..., frames, channels) values per channel: (x - mean_c) / std_c
+    in float32, for one segment or a batch.
+
+    ``values`` is one array or a sequence of equal-shape segment arrays, which
+    are stacked into the new array that is normalized in place and returned;
+    the caller's arrays are never written.
+    """
+    out = np.array(values)
+    rows, frames = _lanes(out)
+    rows -= np.tile(stats.mean.astype(np.float32), frames)
+    rows /= np.tile(stats.std.astype(np.float32), frames)
+    return out.astype(np.float32, copy=False)
 
 
 def apply_norm(seg, stats):

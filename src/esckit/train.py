@@ -222,7 +222,7 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
         for idx in epoch_batches(n, config.batch_size, rng_shuffle):
             batch_segments = [segments[i] for i in idx]
             epoch_ids.update(s.clip_id for s in batch_segments)
-            xb = normalize(np.stack([s.values for s in batch_segments]), stats)
+            xb = normalize([s.values for s in batch_segments], stats)
             yb = one_hot(labels[idx], k)
             if mixup_on:
                 mix_batch(xb, yb, alpha, rng_mixup)

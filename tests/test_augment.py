@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,15 +34,52 @@ def reference_istft(spec, n_fft=aug.PV_WINDOW, hop=aug.PV_HOP):
     return out / np.maximum(norm, 1e-8)
 
 
-def reference_time_stretch(samples, rate):
-    """Per-frame phase vocoder over a (bins, frames) spectrum, one Python
-    iteration per output frame: the oracle for aug.time_stretch."""
+def reference_spectrum(samples):
+    """Hann-windowed STFT as a (bins, frames) array, one frame per hop."""
     x = np.asarray(samples, dtype=np.float64)
     n_frames = 1 + (x.size - aug.PV_WINDOW) // aug.PV_HOP
     starts = np.arange(n_frames) * aug.PV_HOP
-    spec = np.fft.rfft(x[starts[:, None] + np.arange(aug.PV_WINDOW)]
+    return np.fft.rfft(x[starts[:, None] + np.arange(aug.PV_WINDOW)]
                        * np.hanning(aug.PV_WINDOW), axis=1).T
-    n_bins = spec.shape[0]
+
+
+def reference_time_stretch(samples, rate):
+    """Per-frame phase vocoder over a (bins, frames) spectrum, one Python
+    iteration per output frame: the oracle for aug.time_stretch.
+
+    The phase advances by unit-phasor rotation: u = S / |S| (1 in a silent
+    bin), rot[:, k] = conj(u[:, k]) * u[:, k + 1], and the rotation into the
+    appended zero frame, whose phasor is 1, is conj(u[:, -1]).
+    """
+    spec = reference_spectrum(samples)
+    n_bins, n_frames = spec.shape
+    steps = np.arange(0.0, n_frames, rate)
+    magnitude = np.zeros((n_bins, n_frames + 1))
+    magnitude[:, :-1] = np.abs(spec)
+    u = np.ones_like(spec)
+    voiced = magnitude[:, :-1] > 0.0
+    u.real[voiced] = spec.real[voiced] / magnitude[:, :-1][voiced]
+    u.imag[voiced] = spec.imag[voiced] / magnitude[:, :-1][voiced]
+    rot = np.empty_like(u)
+    rot[:, :-1] = np.conjugate(u[:, :-1]) * u[:, 1:]
+    rot[:, -1] = np.conjugate(u[:, -1])
+
+    out = np.empty((n_bins, steps.size), dtype=np.complex128)
+    ph = u[:, 0].copy()
+    for m, step in enumerate(steps):
+        i = int(step)
+        frac = step - i
+        mag = (1.0 - frac) * magnitude[:, i] + frac * magnitude[:, i + 1]
+        out[:, m] = mag * ph
+        ph = ph * rot[:, i]
+    return reference_istft(out)
+
+
+def classical_time_stretch(samples, rate):
+    """The classical phase vocoder: the phase accumulates each step's expected
+    advance plus the measured deviation wrapped to [-pi, pi]."""
+    spec = reference_spectrum(samples)
+    n_bins, n_frames = spec.shape
     steps = np.arange(0.0, n_frames, rate)
     spec = np.concatenate([spec, np.zeros((n_bins, 1), dtype=spec.dtype)], axis=1)
 
@@ -104,7 +144,17 @@ class TestVocoderMatchesReferenceLoop:
         for rate in (0.8, 1.3):
             out = aug.time_stretch(clip, rate).samples
             assert np.all(np.isfinite(out)) and np.all(out == 0.0)
+            assert not np.any(np.signbit(out))
             assert out.tobytes() == reference_time_stretch(clip.samples, rate).tobytes()
+
+    def test_silent_opening_keeps_the_phase_chain(self):
+        # Bins of the silent frames have phasor 1 (angle 0), so the rotations
+        # still carry the phase on into the tone that follows.
+        clip = tone_clip(44_100, seed=3)
+        clip.samples[:5_000] = 0.0
+        out = aug.time_stretch(clip, 0.8).samples
+        assert out.tobytes() == reference_time_stretch(clip.samples, 0.8).tobytes()
+        assert np.max(np.abs(out[-10_000:])) > 0.1
 
     def test_augment_clip_matches_public_calls(self):
         clip = tone_clip(44_100, seed=2)
@@ -121,6 +171,61 @@ class TestVocoderMatchesReferenceLoop:
         assert len(copies) == len(want)
         for got, ref in zip(copies, want):
             assert got.samples.tobytes() == ref.samples.tobytes()
+
+
+class TestPhasorAccuracy:
+    """The phasor recurrence against the classical angle accumulation, and
+    against the exact answer at rate 1."""
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("rate", (0.8, 1.0, 1.3, ZERO_FRAME_RATE))
+    def test_interior_agrees_with_classical_vocoder(self, n, rate):
+        # The first and last window are left out: the overlap-add normalizer
+        # falls towards 0 there and magnifies rounding.
+        clip = tone_clip(n)
+        got = aug.time_stretch(clip, rate).samples
+        want = classical_time_stretch(clip.samples, rate)
+        assert got.size == want.size
+        inner = slice(aug.PV_WINDOW, got.size - aug.PV_WINDOW)
+        assert np.max(np.abs(got[inner] - want[inner]), initial=0.0) \
+            <= 1e-9 * np.max(np.abs(want))
+
+    def test_unit_rate_reproduces_the_clip(self):
+        clip = tone_clip(220_500)
+        x = clip.samples
+        y = aug.time_stretch(clip, 1.0).samples
+        inner = slice(aug.PV_WINDOW, y.size - aug.PV_WINDOW)
+        assert np.max(np.abs(y[inner] - x[inner])) <= 1e-12 * np.max(np.abs(x))
+
+
+def calls_named(source, function, names):
+    """Names from ``names`` that ``function`` in ``source`` calls, as
+    ``name(...)`` or ``module.name(...)``."""
+    tree = ast.parse(source)
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    found = set()
+    for node in ast.walk(body):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                found.add(name)
+    return found
+
+
+TRANSCENDENTALS = {"exp", "cos", "sin", "angle", "arctan2"}
+
+
+def test_call_scanner_sees_both_forms():
+    source = ("def f(x):\n    return np.exp(x) + cos(x) + np.sqrt(x)\n"
+              "def g(x):\n    return np.angle(x)\n")
+    assert calls_named(source, "f", TRANSCENDENTALS) == {"exp", "cos"}
+
+
+def test_stretch_evaluates_no_transcendental():
+    source = Path(aug.__file__).read_text()
+    assert not calls_named(source, "_stretch", TRANSCENDENTALS)
 
 
 class TestTimeStretch:

@@ -211,6 +211,23 @@ class TestNormStats:
             assert row.tobytes() == ft.apply_norm(seg, stats).values.tobytes()
             assert row.tobytes() == ((seg.values - stats.mean) / stats.std).tobytes()
 
+    def test_normalize_stacks_a_list_and_never_writes_its_inputs(self):
+        segs = self._segments(np.random.default_rng(8), n=2)
+        stats = ft.NormStats(mean=np.array([-3.0, 0.1], np.float32),
+                             std=np.array([2.0, 0.7], np.float32))
+        values = [s.values for s in segs]
+        before = [v.copy() for v in values]
+        stacked = np.stack(values)
+        batch = ft.normalize(values, stats)
+        single = ft.normalize(values[0], stats)
+        assert batch.shape == stacked.shape and batch.dtype == np.float32
+        assert batch.tobytes() == ft.normalize(stacked, stats).tobytes()
+        assert single.tobytes() == batch[0].tobytes()
+        assert stacked.tobytes() == np.stack(before).tobytes()
+        for v, b in zip(values, before):
+            assert v.tobytes() == b.tobytes()
+            assert not np.shares_memory(v, batch) and not np.shares_memory(v, single)
+
     def test_zero_std_raises(self):
         clip = make_clip(np.zeros(70_000))
         segs = ft.segment(np.zeros((128, 128)), np.zeros((128, 128)), clip)
