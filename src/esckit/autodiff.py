@@ -19,10 +19,10 @@ built from the kernel, so narrow layers run a few wide GEMMs and layers of
 The network's conv blocks (conv -> batch-norm -> ReLU -> optional max-pool)
 are one graph node each (``conv_block``), and so is each GRU direction and
 the loss, all with closed-form backward passes, so a step's graph does not
-grow with the sequence length. A block keeps only the conv's padded input,
-the conv's padded output grid, in which the normalized output x_hat
-overwrites the conv output in place, and its own (pooled) output with a
-uint8 window code per cell. ``conv2d`` also serves the CNN attention's
+grow with the sequence length. A train-mode block keeps only the conv's
+padded input, its padded output grid (overwritten in place by the normalized
+x_hat) and its own (pooled) output with a uint8 window code per cell; an
+infer-mode block keeps nothing. ``conv2d`` also serves the CNN attention's
 scoring conv; ``batchnorm``, ``relu`` and ``maxpool2d`` are the references
 that the block is tested against, and no train or infer step calls them.
 """
@@ -637,11 +637,11 @@ def batchnorm(x, state, mode):
     """Normalize over every axis except the trailing channel axis.
 
     Train mode uses batch statistics (differentiable through them), summed in
-    float64, and folds the batch mean/variance into the running statistics;
-    infer mode uses the running statistics as constants. Either mode is one
-    graph node whose backward is the closed form of Ioffe & Szegedy (2015).
-    No train or infer step calls it: it is the reference ``conv_block`` is
-    tested against.
+    float64, folds the batch mean/variance into the running statistics, and
+    is one graph node whose backward is the closed form of Ioffe & Szegedy
+    (2015). Infer mode uses the running statistics and is forward-only: its
+    output is a constant with no graph inputs. No train or infer step calls
+    it: it is the reference ``conv_block`` is tested against.
     """
     x = as_tensor(x)
     gamma, beta = state.gamma, state.beta
@@ -659,7 +659,8 @@ def batchnorm(x, state, mode):
         raise ValueError(f"unknown batchnorm mode {mode!r}")
     inv = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat = (x.data - mu) * inv
-    out = _node(xhat * gamma.data + beta.data, (x, gamma, beta), "batchnorm")
+    out = _node(xhat * gamma.data + beta.data,
+                (x, gamma, beta) if mode == "train" else (), "batchnorm")
 
     if out.requires_grad:
         def backward(g):
@@ -670,8 +671,7 @@ def batchnorm(x, state, mode):
             if beta.requires_grad:
                 beta._accumulate(gsum)
             if x.requires_grad:
-                gx = g - gsum / m - xhat * gdot / m if mode == "train" else g
-                x._accumulate(gx * (gamma.data * inv))
+                x._accumulate((g - gsum / m - xhat * gdot / m) * (gamma.data * inv))
         out._backward = backward
     return out
 
@@ -733,9 +733,10 @@ def conv_block(x, kernel, bn_state, mode, window=None):
     conv's padded output grid, where x_hat overwrites the conv output. The
     affine map goes to one fresh map, which the ReLU overwrites or which is
     pooled; max commutes with the monotone ReLU, so a pooled block's ReLU
-    runs on the pooled map. Backward keeps the padded input rows, the grid
-    holding x_hat and the output with a uint8 window code per pooled cell,
-    and writes the batch-norm input gradient into the conv's gradient rows.
+    runs on the pooled map. Train-mode backward keeps the padded input rows,
+    the grid holding x_hat and the output with a uint8 window code per pooled
+    cell, and writes the batch-norm input gradient into the conv's gradient
+    rows. Infer mode is forward-only: no graph inputs, nothing kept.
     """
     x, kernel, layout = _conv_operands("conv_block", x, kernel)
     gamma, beta = bn_state.gamma, bn_state.beta
@@ -776,7 +777,7 @@ def conv_block(x, kernel, bn_state, mode, window=None):
         peak, code = _pool_lanes(z, window, c)
         y = np.empty((n, peak.shape[1], peak.shape[3], c), dtype=peak.dtype)
         np.maximum(peak.transpose(0, 1, 3, 2), 0.0, out=y)
-    out = _node(y, (x, kernel, gamma, beta), "conv_block")
+    out = _node(y, (x, kernel, gamma, beta) if mode == "train" else (), "conv_block")
 
     if out.requires_grad:
         def backward(g):
@@ -799,11 +800,8 @@ def conv_block(x, kernel, bn_state, mode, window=None):
                 beta._accumulate(gsum)
             grows, gout = layout.grad_rows(g.dtype)
             gz = gout.reshape(n, f, lanes)
-            if mode == "train":
-                np.multiply(xhat, tile(-scale * gdot / m), out=gz)
-                gz += tile(-scale * gsum / m)
-            else:
-                gz[...] = 0
+            np.multiply(xhat, tile(-scale * gdot / m), out=gz)
+            gz += tile(-scale * gsum / m)
             rows *= np.tile(scale, rows.shape[2] // c)
             if window is None:
                 gz += rows.reshape(gz.shape)

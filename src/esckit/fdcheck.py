@@ -111,13 +111,10 @@ def op_gradient_checks(seed=0):
     run("dense", lambda a, w, b: ad.tensor_sum(ad.mul(ad.dense(a, w, b), pm)),
         rng.standard_normal((3, 4)), rng.standard_normal((4, 5)), rng.standard_normal(5))
 
-    # Each conv row's unused draw keeps the later rows' inputs, without which
-    # the conv_block train row's finite difference straddles a kink.
     pc = _projector((2, 5, 6, 3), rng)
     for name, kernel_size in (("conv2d", (3, 3)), ("conv2d_even_kernel", (2, 4))):
         run(name, lambda x, k: ad.tensor_sum(ad.mul(ad.conv2d(x, k), pc)),
             rng.standard_normal((2, 5, 6, 2)), rng.standard_normal(kernel_size + (2, 3)) * 0.5)
-        rng.standard_normal(3)
 
     pp = _projector((2, 2, 3, 2), rng)
     run("maxpool2d", lambda x: ad.tensor_sum(ad.mul(ad.maxpool2d(x, (2, 2)), pp)),
@@ -135,27 +132,15 @@ def op_gradient_checks(seed=0):
     run("batchnorm", bn_builder,
         rng.standard_normal((6, 3, 4)), 1.0 + 0.1 * rng.standard_normal(4),
         0.1 * rng.standard_normal(4))
-    running_mean, running_var = 0.3 * rng.standard_normal(4), 0.5 + rng.uniform(size=4)
-    def bn_infer_builder(x, gamma, beta):
-        state = BatchNormState(gamma=gamma, beta=beta,
-                               running_mean=running_mean, running_var=running_var)
-        return ad.tensor_sum(ad.mul(ad.batchnorm(x, state, "infer"), pb))
-    run("batchnorm_infer", bn_infer_builder,
-        rng.standard_normal((6, 3, 4)), 1.0 + 0.1 * rng.standard_normal(4),
-        0.1 * rng.standard_normal(4))
 
-    pk, pki = _projector((2, 2, 2, 3), rng), _projector((2, 5, 7, 3), rng)
-    block_stats = 0.3 * rng.standard_normal(3), 0.5 + rng.uniform(size=3)
-    for name, mode, window, proj in (("conv_block", "train", (2, 3), pk),
-                                     ("conv_block_infer", "infer", None, pki)):
-        def block_builder(x, k, gamma, beta, mode=mode, window=window, proj=proj):
-            state = BatchNormState(gamma=gamma, beta=beta, running_mean=block_stats[0],
-                                   running_var=block_stats[1])
-            return ad.tensor_sum(ad.mul(ad.conv_block(x, k, state, mode, window), proj))
-        x, k = rng.standard_normal((2, 5, 7, 2)), rng.standard_normal((3, 3, 2, 3)) * 0.5
-        rng.standard_normal(3)
-        run(name, block_builder, x, k, np.array([1.2, -0.8, 0.9]),
-            0.5 + 0.1 * rng.standard_normal(3))
+    pk = _projector((2, 2, 2, 3), rng)
+    def block_builder(x, k, gamma, beta):
+        state = BatchNormState(gamma=gamma, beta=beta,
+                               running_mean=np.zeros(3), running_var=np.ones(3))
+        return ad.tensor_sum(ad.mul(ad.conv_block(x, k, state, "train", (2, 3)), pk))
+    run("conv_block", block_builder,
+        rng.standard_normal((2, 5, 7, 2)), rng.standard_normal((3, 3, 2, 3)) * 0.5,
+        np.array([1.2, -0.8, 0.9]), 0.5 + 0.1 * rng.standard_normal(3))
 
     pd = _projector((4, 5), rng)
     def dropout_builder(x):

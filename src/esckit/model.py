@@ -198,7 +198,9 @@ def forward(params, x, mode="infer", rng=None, trace=None):
     """Class probabilities (N, K) for a batch of (N, bands, frames, 2) inputs.
 
     ``trace``, when a list, collects (stage, per-example shape) pairs. Train
-    mode needs ``rng`` whenever dropout is active.
+    mode needs ``rng`` whenever dropout is active. Infer-mode conv blocks are
+    forward-only, so an infer-mode output does not differentiate to the conv
+    kernels or the batch-norm parameters.
     """
     cfg = params.config
     x = ad.as_tensor(x)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -452,8 +454,9 @@ class TestBatchnorm:
 
 
 def _conv_block_run(fused, arrays, stats, mode, window):
-    """Output, the x/kernel/gamma/beta gradients of a fixed projection, and
-    the running statistics, of conv_block or of its reference chain."""
+    """Output, the x/kernel/gamma/beta gradients of a fixed projection (None
+    in infer mode, which is forward-only), and the running statistics, of
+    conv_block or of its reference chain."""
     x, k, gamma, beta = (Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays)
     state = BatchNormState(gamma=gamma, beta=beta, running_mean=stats[0].copy(),
                            running_var=stats[1].copy())
@@ -480,28 +483,42 @@ def test_conv_block_matches_reference_chain(window, mode, kernel_size):
     ref = _conv_block_run(False, arrays, stats, mode, window)
     names = ("out", "x", "kernel", "gamma", "beta", "running_mean", "running_var")
     for name, got, want in zip(names, fused, ref):
+        if mode == "infer" and name in ("x", "kernel", "gamma", "beta"):
+            assert got is None and want is None, name
+            continue
         assert got.shape == want.shape and got.dtype == np.float64, name
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 def test_conv_block_breaks_window_ties_like_maxpool2d():
     # A constant (silent) region makes every position of some windows equal;
-    # the gradient must land on the first of them in row-major window order.
-    # Its ragged top edge puts the first tie of the window at rows 0-3,
-    # columns 3-5 at (1, 5), where a column-first order would pick (2, 3).
+    # the pooled gradient must land on the first of them in row-major window
+    # order. Tied cells share x_hat, so all but the routed one get the same
+    # batch-norm gradient. The ragged top edge puts the first tie of the
+    # window at rows 0-3, columns 3-5 at (1, 5), where a column-first order
+    # would pick (2, 3).
     rng = np.random.default_rng(22)
     x = rng.uniform(0.0, 0.5, size=(2, 12, 12, 1))
     x[:, 2:7, 3:9] = 0.5
     x[:, 1, 5:9] = 0.5
     arrays = (x, np.ones((1, 1, 1, 1)), np.ones(1), np.zeros(1))
     stats = np.zeros(1), np.ones(1)
-    fused = _conv_block_run(True, arrays, stats, "infer", (4, 3))[1]
-    ref = _conv_block_run(False, arrays, stats, "infer", (4, 3))[1]
-    assert np.array_equal(fused != 0.0, ref != 0.0)
-    assert np.allclose(fused, ref, rtol=1e-12, atol=0.0)
-    hits = (fused != 0.0).reshape(2, 3, 4, 4, 3).sum(axis=(2, 4))
-    assert np.all(hits == 1)
-    assert fused[0, 1, 5, 0] != 0.0 and fused[0, 2, 3, 0] == 0.0 and fused[0, 4, 3, 0] != 0.0
+    fused = _conv_block_run(True, arrays, stats, "train", (4, 3))[1]
+    ref = _conv_block_run(False, arrays, stats, "train", (4, 3))[1]
+    assert np.abs(fused - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def windows(a):
+        return a.reshape(2, 3, 4, 4, 3).transpose(0, 1, 3, 2, 4).reshape(2, 3, 4, 12)
+
+    xw, gw = windows(x), windows(fused)
+    ties = 0
+    for n, i, j in np.ndindex(xw.shape[:3]):
+        g = gw[n, i, j][xw[n, i, j] == xw[n, i, j].max()]
+        if len(g) > 1:
+            ties += 1
+            assert g[0] != g[1] and np.all(g[1:] == g[1]), (n, i, j)
+    assert ties == 8
+    assert fused[0, 1, 5, 0] != fused[0, 2, 3, 0] == fused[0, 2, 4, 0] == fused[0, 3, 3, 0]
 
 
 def test_conv_block_is_one_node():
@@ -515,6 +532,26 @@ def test_conv_block_is_one_node():
         ad.conv_block(x, kernel, BatchNormState.create(3), "train", None)
     with pytest.raises(ShapeError):
         ad.conv_block(x, kernel, BatchNormState.create(2), "train", (9, 3))
+
+
+@pytest.mark.parametrize("window", [(4, 3), None])
+def test_infer_mode_conv_block_keeps_nothing(monkeypatch, window):
+    # Infer mode is forward-only: with every input requiring grad, the padded
+    # input rows and output grid still die when the call returns.
+    kept = []
+    for method in ("pad", "grid"):
+        def spy(self, *args, real=getattr(ad._ConvLayout, method)):
+            out = real(self, *args)
+            kept.append(weakref.ref(out if out.base is None else out.base))
+            return out
+        monkeypatch.setattr(ad._ConvLayout, method, spy)
+    rng = np.random.default_rng(28)
+    state = BatchNormState.create(3)
+    out = ad.conv_block(t(rng.standard_normal((2, 8, 6, 2)), requires_grad=True),
+                        t(rng.standard_normal((3, 5, 2, 3)), requires_grad=True),
+                        state, "infer", window)
+    assert not out.requires_grad and len(kept) == 2
+    assert [ref() for ref in kept] == [None, None]
 
 
 def _poisoned(make):
@@ -541,13 +578,14 @@ def _train_step_arrays():
 
 
 def _conv_runs():
-    """Outputs and gradients of conv_block in both modes, with and without a
-    window, of conv2d, and of one tiny-config train step."""
+    """Outputs and gradients of conv_block in train mode, its outputs in
+    infer mode, with and without a window, and the outputs and gradients of
+    conv2d and of one tiny-config train step."""
     rng = np.random.default_rng(24)
     arrays = (rng.standard_normal((3, 9, 11, 2)), 0.5 * rng.standard_normal((3, 5, 2, 3)),
               np.array([1.2, -0.7, 0.4]), rng.standard_normal(3))
     stats = 0.2 * rng.standard_normal(3), 0.5 + rng.uniform(size=3)
-    runs = [_conv_block_run(True, arrays, stats, mode, window)
+    runs = [[a for a in _conv_block_run(True, arrays, stats, mode, window) if a is not None]
             for mode in ("train", "infer") for window in ((2, 2), None)]
     x, k = (Tensor(a, requires_grad=True) for a in arrays[:2])
     out = ad.conv2d(x, k)

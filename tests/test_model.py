@@ -70,6 +70,13 @@ class TestForward:
         b = acrnn.forward(params, x, mode="infer").data
         assert np.array_equal(a, b)
 
+    def test_infer_mode_graph_has_no_conv_block(self):
+        x = np.random.default_rng(4).standard_normal((2, 32, 32, 2)).astype(np.float32)
+        for placement in acrnn.PLACEMENTS:
+            params = acrnn.build(tiny_config(attention_placement=placement), seed=0)
+            ops = {n._op for n in acrnn.forward(params, x, mode="infer")._topo_order()}
+            assert "gru" in ops and "conv_block" not in ops, placement
+
     def test_wrong_input_shape_raises(self):
         params = acrnn.build(tiny_config(), seed=0)
         with pytest.raises(ShapeError):
@@ -189,7 +196,7 @@ class TestRnnAttention:
 # Graph node ops whose finite-difference row has another name.
 FD_ROW_OF_OP = {"gru": "gru_bidirectional"}
 # Finite-difference rows that check an op under another name or in another
-# form; an "_infer" row checks its op in infer mode.
+# form.
 OP_OF_FD_ROW = {"dense": "matmul", "gru_bidirectional": "gru", "conv2d_even_kernel": "conv2d",
                 "mean_over_freq": "mean"}
 # Ops that no train step builds, kept as the references of fused ones.
@@ -211,8 +218,7 @@ def test_every_op_of_a_train_step_has_a_finite_difference_row():
         built |= ops
     # The converse: every row checks an op that some train step builds, or a
     # reference, so that no op outlives its last caller.
-    unmapped = {row for row in rows
-                if OP_OF_FD_ROW.get(row, row.removesuffix("_infer")) not in built | REFERENCE_OPS}
+    unmapped = {row for row in rows if OP_OF_FD_ROW.get(row, row) not in built | REFERENCE_OPS}
     assert not unmapped, unmapped
 
 
