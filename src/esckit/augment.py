@@ -8,6 +8,8 @@ carried as a unit phasor: each output frame's is the previous one times the
 rotation between the two analysis frames it reads, which is the classical
 vocoder's wrapped phase advance mod 2 pi (see _stretch), so no angle or
 complex exponential is evaluated per output bin (Laroche & Dolson 1999).
+The analysis STFT and the resynthesis run in blocks of 64 frames whose arrays
+stay in cache; they return the same values as whole-clip passes would.
 Mixup forms convex combinations of feature/label pairs with a
 Beta(alpha, alpha) weight.
 
@@ -21,10 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .features import _FRAME_BLOCK
+
 PV_WINDOW = 1024
 PV_HOP = 256
-# Rows of the spectrum turned into rotations per pass of _analyse.
-_ROTATION_BLOCK = 64
 
 
 @dataclass
@@ -37,33 +39,40 @@ class AugmentConfig:
     rng_seed: int = 0
 
 
-def _stft(x, n_fft=PV_WINDOW, hop=PV_HOP):
-    """Hann-windowed STFT as a (frames, bins) array."""
-    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop]
-    return np.fft.rfft(frames * np.hanning(n_fft), axis=1)
+def _istft(spectra, n_frames, n_fft=PV_WINDOW, hop=PV_HOP):
+    """Windowed overlap-add of n_frames (frames, bins) spectra, normalized by
+    the summed squared window.
 
-
-def _istft(spec, n_fft=PV_WINDOW, hop=PV_HOP):
-    """Windowed overlap-add of (frames, bins) spectra, normalized by the summed
-    squared window.
-
-    Each frame splits into n_fft // hop parts of hop samples; output block b
-    takes part k of frame b - k. Adding the parts from k = n_fft // hop - 1
-    down to 0 gives every sample its terms in ascending frame order, as a
-    per-frame overlap-add loop would.
+    The spectra come as consecutive blocks of frames, and each block is
+    inverted and added before the next is read, so no irfft buffer the size
+    of the clip is built. Each frame splits into n_fft // hop parts of hop
+    samples; output block b takes part k of frame b - k. Adding each block's
+    parts from k = n_fft // hop - 1 down to 0 gives every sample its terms in
+    ascending frame order, as a per-frame overlap-add loop would, and an
+    output block is normalized as soon as its last frame is added.
     """
-    n_frames = spec.shape[0]
     parts = n_fft // hop
     window = np.hanning(n_fft).reshape(parts, hop)
-    frames = np.fft.irfft(spec, n=n_fft, axis=1).reshape(n_frames, parts, hop)
-    frames *= window
     squares = window * window
     out = np.zeros((n_frames + parts - 1, hop))
-    norm = np.zeros_like(out)
-    for k in range(parts - 1, -1, -1):
-        out[k:k + n_frames] += frames[:, k]
-        norm[k:k + n_frames] += squares[k]
-    return np.divide(out, np.maximum(norm, 1e-8, out=norm), out=out).ravel()
+
+    def normalize(start, stop):
+        norm = np.zeros((stop - start, hop))
+        for k in range(parts - 1, -1, -1):
+            norm[max(start, k) - start:min(stop, n_frames + k) - start] += squares[k]
+        np.divide(out[start:stop], np.maximum(norm, 1e-8, out=norm), out=out[start:stop])
+
+    start = 0
+    for spec in spectra:
+        stop = start + spec.shape[0]
+        frames = np.fft.irfft(spec, n=n_fft, axis=1).reshape(-1, parts, hop)
+        frames *= window
+        for k in range(parts - 1, -1, -1):
+            out[start + k:stop + k] += frames[:, k]
+        normalize(start, stop)
+        start = stop
+    normalize(n_frames, out.shape[0])
+    return out.ravel()
 
 
 def _analyse(clip):
@@ -74,29 +83,33 @@ def _analyse(clip):
     (frames + 1, bins) with a zero frame appended for the interpolation at the
     last step; u[0]; and rot, (frames, bins), where rot[k] = conj(u[k]) * u[k + 1]
     and the last row rotates into the zero frame, whose phasor is 1:
-    rot[-1] = conj(u[-1]). The spectrum is turned into rot in place, so only
-    the magnitude and the rotations are kept.
+    rot[-1] = conj(u[-1]). The STFT runs in blocks of 64 frames plus the next
+    block's first, which row k's rotation needs, so only the magnitude and the
+    rotations are the size of the clip.
     """
     x = np.asarray(clip.samples, dtype=np.float64)
     if x.size < PV_WINDOW:
         raise ValueError(f"clip {clip.clip_id!r} shorter than one {PV_WINDOW}-sample window")
-    u = _stft(x)
-    frames = u.shape[0]
-    magnitude = np.zeros((frames + 1, u.shape[1]))
-    mag = np.abs(u, out=magnitude[:-1])
-    voiced = mag > 0.0
-    np.divide(u.real, mag, out=u.real, where=voiced)
-    np.divide(u.imag, mag, out=u.imag, where=voiced)
-    u[~voiced] = 1.0
-    first = u[0].copy()
-    # Row k needs the unread u[k + 1]: copy each block's successors first.
-    for start in range(0, frames - 1, _ROTATION_BLOCK):
-        stop = min(start + _ROTATION_BLOCK, frames - 1)
-        successors = u[start + 1:stop + 1].copy()
-        np.conjugate(u[start:stop], out=u[start:stop])
-        u[start:stop] *= successors
-    np.conjugate(u[-1], out=u[-1])
-    return magnitude, first, u
+    frames = np.lib.stride_tricks.sliding_window_view(x, PV_WINDOW)[::PV_HOP]
+    window = np.hanning(PV_WINDOW)
+    n_frames = frames.shape[0]
+    magnitude = np.zeros((n_frames + 1, PV_WINDOW // 2 + 1))
+    rot = np.empty((n_frames, PV_WINDOW // 2 + 1), dtype=np.complex128)
+    for start in range(0, n_frames, _FRAME_BLOCK):
+        stop = min(start + _FRAME_BLOCK, n_frames)
+        u = np.fft.rfft(frames[start:stop + 1] * window, axis=1)
+        mag = np.abs(u, out=magnitude[start:start + u.shape[0]])
+        voiced = mag > 0.0
+        np.divide(u.real, mag, out=u.real, where=voiced)
+        np.divide(u.imag, mag, out=u.imag, where=voiced)
+        u[~voiced] = 1.0
+        if start == 0:
+            first = u[0].copy()
+        # u ends with the next block's first frame, except in the last block,
+        # whose last row keeps conj(u[-1]).
+        np.conjugate(u[:stop - start], out=rot[start:stop])
+        rot[start:start + u.shape[0] - 1] *= u[1:]
+    return magnitude, first, rot
 
 
 def _stretch(analysis, rate):
@@ -112,6 +125,10 @@ def _stretch(analysis, rate):
     exp(1j * dphi) = rot[i], and the accumulated angle's phasor is the product
     of the rotations: the same phase mod 2 pi, with no angle, wrap or complex
     exponential evaluated, and no angle that grows with the clip's length.
+
+    The output spectra are built and inverted in blocks of 64 frames, the
+    phasor carried from one block to the next, so no spectrum or magnitude
+    array the size of the clip is built.
     """
     if rate <= 0.0:
         raise ValueError(f"stretch rate must be positive, got {rate}")
@@ -119,17 +136,28 @@ def _stretch(analysis, rate):
     steps = np.arange(0.0, magnitude.shape[0] - 1, rate)
     i = steps.astype(np.intp)
     frac = (steps - i)[:, None]
-    mag = magnitude[i]
-    mag *= 1.0 - frac
-    mag += frac * magnitude[i + 1]
-    spec = np.empty(mag.shape, dtype=np.complex128)
-    spec[0] = first
-    # One row at a time: each row's product is one vector multiply, and numpy's
-    # multiply.accumulate down axis 0 runs slower here.
-    for m, k in enumerate(i[:-1].tolist()):
-        np.multiply(spec[m], rot[k], out=spec[m + 1])
-    spec *= mag
-    return _istft(spec)
+
+    def spectra():
+        # Row 0 holds the block's first phasor; the recurrence also fills the
+        # row past the block, which is the next block's first.
+        spec = np.empty((_FRAME_BLOCK + 1, rot.shape[1]), dtype=np.complex128)
+        spec[0] = first
+        for start in range(0, i.size, _FRAME_BLOCK):
+            rows = i[start:start + _FRAME_BLOCK]
+            f = frac[start:start + _FRAME_BLOCK]
+            mag = magnitude[rows]
+            mag *= 1.0 - f
+            mag += f * magnitude[rows + 1]
+            # One row at a time: each row's product is one vector multiply,
+            # and numpy's multiply.accumulate down axis 0 runs slower here.
+            for m, k in enumerate(rows.tolist()):
+                np.multiply(spec[m], rot[k], out=spec[m + 1])
+            block = spec[:rows.size]
+            block *= mag
+            yield block
+            spec[0] = spec[rows.size]
+
+    return _istft(spectra(), i.size)
 
 
 def _shift(analysis, n, semitones, valid_range):

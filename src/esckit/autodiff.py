@@ -224,7 +224,10 @@ def relu(x):
 
 def sigmoid(x):
     x = as_tensor(x)
-    y = 1.0 / (1.0 + np.exp(-x.data))
+    # exp overflows to inf below about -88 in float32, and 1 / inf is the
+    # right 0.
+    with np.errstate(over="ignore"):
+        y = 1.0 / (1.0 + np.exp(-x.data))
     out = _node(y, (x,), "sigmoid")
     if out.requires_grad:
         def backward(g):
@@ -855,15 +858,18 @@ def _gru_scan(x, w_x, w_h, b, reverse):
     z, r, cand, prev, y = (np.empty((n, t_len, h), dtype=gx.dtype) for _ in range(5))
     steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
     state = np.zeros((n, h), dtype=gx.dtype)
-    for t in steps:
-        g = gx[:, t]
-        gh = state @ w_zr
-        zt = 1.0 / (1.0 + np.exp(-(g[:, :h] + gh[:, :h])))
-        rt = 1.0 / (1.0 + np.exp(-(g[:, h:2 * h] + gh[:, h:])))
-        nt = np.tanh(g[:, 2 * h:] + (rt * state) @ w_n)
-        z[:, t], r[:, t], cand[:, t], prev[:, t] = zt, rt, nt, state
-        state = (1.0 - zt) * state + zt * nt
-        y[:, t] = state
+    # The gates' exp overflows to inf below about -88, as in sigmoid: the
+    # gate is then the right 0.
+    with np.errstate(over="ignore"):
+        for t in steps:
+            g = gx[:, t]
+            gh = state @ w_zr
+            zt = 1.0 / (1.0 + np.exp(-(g[:, :h] + gh[:, :h])))
+            rt = 1.0 / (1.0 + np.exp(-(g[:, h:2 * h] + gh[:, h:])))
+            nt = np.tanh(g[:, 2 * h:] + (rt * state) @ w_n)
+            z[:, t], r[:, t], cand[:, t], prev[:, t] = zt, rt, nt, state
+            state = (1.0 - zt) * state + zt * nt
+            y[:, t] = state
     out = _node(y, (x, w_x, w_h, b), "gru")
 
     if out.requires_grad:

@@ -9,6 +9,8 @@ or usage error, 2 unexpected runtime error.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import os
 import sys
 
@@ -111,15 +113,31 @@ def _blas():
         return "unknown", "unknown"
 
 
+def _blas_threads():
+    """The thread count that the OpenBLAS bundled with numpy reports; None
+    where no such library or getter is found."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+
+
 def _write_manifest(path, config, command):
     """The run's config plus what reproducing it bitwise depends on: the
-    format versions and the numpy and BLAS builds."""
+    format versions, the numpy and BLAS builds and the BLAS thread count."""
     blas_name, blas_version = _blas()
     manifest = {"command": command, "package_version": __version__,
                 "cache_format_version": CACHE_VERSIONS[-1],
                 "checkpoint_format_version": CHECKPOINT_VERSION,
                 "numpy_version": np.__version__, "blas_name": blas_name,
-                "blas_version": blas_version}
+                "blas_version": blas_version, "blas_threads": _blas_threads()}
     text = dump_config(config) + "".join(f"manifest.{k} = {v}\n" for k, v in manifest.items())
     write_atomic(path, text.encode("utf-8"))
 

@@ -22,6 +22,9 @@ SEGMENT_FRAMES = 128
 SEGMENT_HOP = 64
 LOG_EPS = 1e-10
 DELTA_HALF_WINDOW = 2
+# Frames windowed and transformed per pass of the STFTs and the vocoder's
+# resynthesis: a pass's arrays stay in cache.
+_FRAME_BLOCK = 64
 
 
 class TooShortError(ValueError):
@@ -69,14 +72,23 @@ def stft_power(clip):
     """Power spectrogram (513 bins x frames) of a clip.
 
     Frame f covers samples [f*512, f*512 + 1024) under a Hamming window; the
-    value is the squared magnitude of the real-input DFT.
+    value is the squared magnitude of the real-input DFT. The frames are
+    windowed and transformed in blocks of 64, so no windowed-frame or spectrum
+    array the size of the clip is built, and every value is the one a
+    whole-clip transform gives. The result is the transpose of a (frames,
+    bins) array.
     """
     x = np.asarray(clip.samples, dtype=np.float64)
     if x.size < STFT_WINDOW:
         raise TooShortError(f"clip {clip.clip_id!r}: {x.size} samples < one {STFT_WINDOW}-sample window")
     frames = np.lib.stride_tricks.sliding_window_view(x, STFT_WINDOW)[::STFT_HOP]
-    spectrum = np.fft.rfft(frames * np.hamming(STFT_WINDOW), axis=1)
-    return (spectrum.real ** 2 + spectrum.imag ** 2).T
+    window = np.hamming(STFT_WINDOW)
+    power = np.empty((frames.shape[0], N_BINS))
+    for start in range(0, frames.shape[0], _FRAME_BLOCK):
+        block = slice(start, start + _FRAME_BLOCK)
+        spectrum = np.fft.rfft(frames[block] * window, axis=1)
+        np.add(spectrum.real ** 2, spectrum.imag ** 2, out=power[block])
+    return power.T
 
 
 def erb_rate(freq_hz):

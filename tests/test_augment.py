@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,82 @@ class TestPhasorAccuracy:
         y = aug.time_stretch(clip, 1.0).samples
         inner = slice(aug.PV_WINDOW, y.size - aug.PV_WINDOW)
         assert np.max(np.abs(y[inner] - x[inner])) <= 1e-12 * np.max(np.abs(x))
+
+
+def whole_clip_analyse(samples):
+    """_analyse with every array the size of the clip: one STFT, one
+    normalization and one rotation pass over all frames."""
+    x = np.asarray(samples, dtype=np.float64)
+    frames = np.lib.stride_tricks.sliding_window_view(x, aug.PV_WINDOW)[::aug.PV_HOP]
+    u = np.fft.rfft(frames * np.hanning(aug.PV_WINDOW), axis=1)
+    magnitude = np.zeros((u.shape[0] + 1, u.shape[1]))
+    mag = np.abs(u, out=magnitude[:-1])
+    voiced = mag > 0.0
+    np.divide(u.real, mag, out=u.real, where=voiced)
+    np.divide(u.imag, mag, out=u.imag, where=voiced)
+    u[~voiced] = 1.0
+    rot = np.conjugate(u)
+    rot[:-1] *= u[1:]
+    return magnitude, u[0].copy(), rot
+
+
+def whole_clip_stretch(analysis, rate):
+    """_stretch with every array the size of the clip: all output spectra,
+    then one irfft and one overlap-add over all frames."""
+    magnitude, first, rot = analysis
+    steps = np.arange(0.0, magnitude.shape[0] - 1, rate)
+    i = steps.astype(np.intp)
+    frac = (steps - i)[:, None]
+    mag = magnitude[i] * (1.0 - frac)
+    mag += frac * magnitude[i + 1]
+    spec = np.empty(mag.shape, dtype=np.complex128)
+    spec[0] = first
+    for m, k in enumerate(i[:-1]):
+        spec[m + 1] = spec[m] * rot[k]
+    spec *= mag
+    n_frames, parts, hop = i.size, aug.PV_WINDOW // aug.PV_HOP, aug.PV_HOP
+    window = np.hanning(aug.PV_WINDOW).reshape(parts, hop)
+    frames = np.fft.irfft(spec, n=aug.PV_WINDOW, axis=1).reshape(n_frames, parts, hop) * window
+    out = np.zeros((n_frames + parts - 1, hop))
+    norm = np.zeros_like(out)
+    for k in range(parts - 1, -1, -1):
+        out[k:k + n_frames] += frames[:, k]
+        norm[k:k + n_frames] += window[k] * window[k]
+    return (out / np.maximum(norm, 1e-8)).ravel()
+
+
+# 64 analysis frames make one block of the vocoder's STFT; at rate 1 they
+# make one block of its resynthesis too.
+BLOCK_SAMPLES = aug.PV_WINDOW + 63 * aug.PV_HOP
+
+
+class TestFrameBlocks:
+    """The blocked analysis and resynthesis against whole-clip arrays: bitwise
+    equal, and with no whole-clip temporaries."""
+
+    @pytest.mark.parametrize("n", (1024, 1279, BLOCK_SAMPLES - aug.PV_HOP, BLOCK_SAMPLES,
+                                   BLOCK_SAMPLES + aug.PV_HOP, 220_500))
+    def test_bitwise_equal_to_whole_clip_arrays(self, n):
+        clip = tone_clip(n, seed=4)
+        analysis = aug._analyse(clip)
+        want = whole_clip_analyse(clip.samples)
+        for got, ref in zip(analysis, want):
+            assert got.tobytes() == ref.tobytes()
+        for rate in (ZERO_FRAME_RATE, 0.8, 1.0, 1.3):
+            assert aug._stretch(analysis, rate).tobytes() \
+                == whole_clip_stretch(want, rate).tobytes(), rate
+
+    def test_stretch_builds_no_whole_clip_temporaries(self):
+        # Whole-clip spectra, magnitudes and irfft frames took about 26 MB;
+        # the output and its blocks take about 4.
+        analysis = aug._analyse(tone_clip(220_500))
+        tracemalloc.start()
+        try:
+            aug._stretch(analysis, 0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
 
 def calls_named(source, function, names):

@@ -163,6 +163,14 @@ class TestCli:
         assert cli.main(["extract", "--config", str(manifest)]) == 0
         assert cache.read_bytes() == first
 
+    def test_manifest_records_the_blas_thread_count(self, tmp_path):
+        # The same seeded step gives other bits at another BLAS thread count.
+        threads = cli._blas_threads()
+        assert threads is None or threads >= 1
+        path = tmp_path / "manifest"
+        cli._write_manifest(path, cfg.RunConfig(), "cv")
+        assert f"manifest.blas_threads = {threads}" in path.read_text().splitlines()
+
     def test_ablate_labels(self, tmp_path):
         config_path = build_audio_tree(tmp_path)
         assert cli.main(["extract", "--config", str(config_path)]) == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,10 @@ class TestStftPower:
         with pytest.raises(ft.TooShortError):
             ft.stft_power(make_clip(np.zeros(1023)))
 
-    @pytest.mark.parametrize("n", (1024, 1024 + 511, 220_500))
+    # 64 frames make one block of the blocked STFT.
+    @pytest.mark.parametrize("n", (1024, 1279, 1024 + 511, ft.STFT_WINDOW + 62 * ft.STFT_HOP,
+                                   ft.STFT_WINDOW + 63 * ft.STFT_HOP,
+                                   ft.STFT_WINDOW + 64 * ft.STFT_HOP, 220_500))
     def test_matches_gather_framing_bitwise(self, n):
         x = np.random.default_rng(n).standard_normal(n)
         starts = np.arange((n - ft.STFT_WINDOW) // ft.STFT_HOP + 1) * ft.STFT_HOP
@@ -52,6 +57,11 @@ class TestStftPower:
         spectrum = np.fft.rfft(frames, axis=1)
         want = (spectrum.real ** 2 + spectrum.imag ** 2).T
         assert ft.stft_power(make_clip(x)).tobytes() == want.tobytes()
+
+    def test_is_the_transpose_of_frame_rows(self):
+        # log_gt's matmul reads the same layout as the whole-clip transform's.
+        spec = ft.stft_power(make_clip(np.zeros(220_500)))
+        assert spec.T.flags.c_contiguous
 
     def test_sine_power_concentrated_near_peak(self):
         spec = ft.stft_power(sine_clip(440.0, seconds=1.0))
@@ -244,3 +254,17 @@ def test_extraction_is_deterministic():
     assert len(a) == len(b)
     for sa, sb in zip(a, b):
         assert sa.values.tobytes() == sb.values.tobytes()
+
+
+def test_extraction_builds_no_whole_clip_temporaries():
+    # Whole-clip windowed frames and spectra took about 7 MB on a 5 s clip; the
+    # power spectrogram, the features and one block of the STFT take about 3.7.
+    clip = make_clip(np.random.default_rng(6).standard_normal(220_500))
+    fb = ft.build_gammatone_filterbank()
+    tracemalloc.start()
+    try:
+        ft.extract_segments(clip, fb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5e6

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,21 @@ class TestForward:
             params = acrnn.build(tiny_config(attention_placement=placement), seed=3)
             probs = acrnn.forward(params, x).data
             assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-5), placement
+
+    def test_saturated_gates_raise_no_warning(self):
+        # Weights x5 drive float32 gate pre-activations below -88, where exp
+        # overflows to inf and the gate is the right 0.
+        x = np.random.default_rng(2).standard_normal((2, 32, 32, 2)).astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for placement in acrnn.PLACEMENTS:
+                params = acrnn.build(tiny_config(attention_placement=placement), seed=3)
+                for t in params.tensors.values():
+                    t.data *= 5
+                probs = acrnn.forward(params, x).data
+                assert np.all(np.isfinite(probs)), placement
+            y = ad.sigmoid(Tensor(np.array([-100.0, 0.0], dtype=np.float32))).data
+        assert y.tolist() == [0.0, 0.5]
 
 
 class TestCnnAttention:
