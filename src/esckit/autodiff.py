@@ -3,7 +3,9 @@
 Tensors wrap float32 (or float64, for numeric checking) ndarrays and record
 the operations applied to them as a DAG. Calling ``backward()`` on a scalar
 tensor walks that DAG once in reverse topological order and accumulates
-gradients into every leaf tensor with ``requires_grad=True``.
+gradients into every leaf tensor with ``requires_grad=True``. The walk
+consumes the DAG: each node frees what it saved for backward once it has
+run, so a graph can be walked only once.
 
 Only the operations the network calls are provided, in the form it calls
 them: elementwise arithmetic, matmul, reshape/transpose/slicing/concat,
@@ -22,7 +24,10 @@ the loss, all with closed-form backward passes, so a step's graph does not
 grow with the sequence length. A train-mode block keeps only the conv's
 padded input, its padded output grid (overwritten in place by the normalized
 x_hat) and its own (pooled) output with a uint8 window code per cell; an
-infer-mode block keeps nothing. ``conv2d`` also serves the CNN attention's
+infer-mode block keeps nothing. Backward reuses what the block kept: the
+output gradient rows overwrite the x_hat grid and the input gradient the
+padded input, so a step's backward allocates no full-resolution map that
+its forward left. ``conv2d`` also serves the CNN attention's
 scoring conv; ``batchnorm``, ``relu`` and ``maxpool2d`` are the references
 that the block is tested against, and no train or infer step calls them.
 """
@@ -96,6 +101,15 @@ class Tensor:
         else:
             self.grad += g
 
+    def _adopt(self, g):
+        """``_accumulate`` for a g that nothing else holds or reads: the first
+        add turns -0 into +0 in place and keeps g as ``grad``, with no copy."""
+        if self.grad is None:
+            g += 0.0
+            self.grad = g
+        else:
+            self.grad += g
+
     # -- graph traversal ----------------------------------------------------
 
     def _topo_order(self):
@@ -118,21 +132,23 @@ class Tensor:
     def backward(self):
         """Populate ``grad`` on every reachable requires_grad leaf.
 
-        Must be called on a scalar. Interior node gradients are recomputed from
-        scratch on every call while leaf gradients accumulate, so calling twice
-        without resetting ``grad`` to None doubles the leaf gradients. Every
-        ``grad`` is an array of its own (see ``_accumulate``).
+        Must be called on a scalar. Leaf gradients accumulate across graphs
+        until ``grad`` is reset to None. The walk consumes the graph: each
+        node drops its closure, and the arrays it saved, once it has run, and
+        backward overwrites saved buffers, so a second ``backward()`` through
+        a walked node raises ``GraphError``. Every ``grad`` is an array of
+        its own (see ``_accumulate`` and ``_adopt``).
         """
         if self.data.size != 1:
             raise GraphError(f"backward() requires a scalar, got shape {self.shape}")
         order = self._topo_order()
-        for node in order:
-            if node._prev:
-                node.grad = None
+        if any(node._prev and node._backward is None for node in order):
+            raise GraphError("backward() through a graph that an earlier backward() consumed")
         self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            node._backward = None
 
     # -- operator sugar -----------------------------------------------------
 
@@ -417,9 +433,10 @@ def _band_taps(kt, s, dtype):
     return ((j * s + r - o)[..., None] == np.arange(kt)).astype(dtype)
 
 
-def _correlate(src, w, taps, tp, count):
+def _correlate(src, w, taps, tp, count, out=None):
     """Rows p < count*s of the flattened correlation sum over taps (a, b) of
-    src[p + a*tp + b] @ w[a, b], as a (count*s, cout) array.
+    src[p + a*tp + b] @ w[a, b], as a (count*s, cout) array: a fresh one, or
+    the first count*s rows of the C-contiguous ``out``.
 
     src: (rows, cin), C-contiguous, with (kf-1)*tp + (nb-1)*s rows past the
     last output row; w: (kf, kt, cin, cout); taps: ``_band_taps(kt, s)``.
@@ -428,7 +445,9 @@ def _correlate(src, w, taps, tp, count):
     nb, s = taps.shape[:2]
     bands = np.einsum("abic,jrob->ajrioc", w, taps).reshape(kf * nb, s * cin, s * cout)
     views = _band_views(src, kf, nb, s, tp, count)
-    out = np.empty((count, s * cout), dtype=np.result_type(src, w))
+    if out is None:
+        out = np.empty((count * s, cout), dtype=np.result_type(src, w))
+    out = out[:count * s].reshape(count, s * cout)
     block = max(1, _BLOCK_BYTES // (s * (cin + cout) * out.itemsize))
     tmp = np.empty((min(block, count), s * cout), dtype=out.dtype)
     for lo in range(0, count, block):
@@ -481,26 +500,32 @@ class _ConvLayout:
         self._frame(xrows, 0, self.pf0, self.pt0)[...] = x
         return xrows
 
-    def grid(self, rows, w):
+    def grid(self, rows, w, out=None):
         """The correlation of padded rows with w at every padded-grid position,
-        as (n, fp, tp, cout); the "same" output is its [:, :f, :t]."""
+        as (n, fp, tp, cout), in a fresh array or the first rows of ``out``;
+        the "same" output is its [:, :f, :t]."""
         n = self.x_shape[0]
-        out = _correlate(rows, w, self.taps, self.tp, self.count)
+        out = _correlate(rows, w, self.taps, self.tp, self.count, out)
         return out[:self.rows].reshape(n, self.fp, self.tp, w.shape[3])
+
+    def out_rows(self, dtype):
+        """Uninitialised (lead + rows + tail, cout) rows, as ``grad_rows``."""
+        return np.empty((self.lead + self.rows + self.tail, self.kernel_shape[3]), dtype=dtype)
 
     def grad_rows(self, dtype):
         """Output-gradient rows, zero but for the (n, f, t, cout) "same"
         output block of their grid, and that block's view, for the caller
         to write."""
-        grows = np.empty((self.lead + self.rows + self.tail, self.kernel_shape[3]), dtype=dtype)
+        grows = self.out_rows(dtype)
         return grows, self._frame(grows, self.lead, 0, 0)
 
     def backward(self, x, kernel, xrows, grows):
         """Accumulate the kernel and input gradients from the output gradient
-        that ``grad_rows`` holds. The kernel gradient is the per-band GEMMs of
+        that grows holds, laid out as ``grad_rows`` lays it out. The kernel gradient is the per-band GEMMs of
         the input views against the output gradient, folded back along the
         band diagonals; the input gradient is the correlation of the
-        gradient rows with the flipped, channel-swapped kernel."""
+        gradient rows with the flipped, channel-swapped kernel, written over
+        the padded input rows, which are dead by then, and taken by x as is."""
         n, f, t, cin = self.x_shape
         kf, _, _, cout = self.kernel_shape
         s, nb, count, w = self.s, self.nb, self.count, kernel.data
@@ -516,8 +541,8 @@ class _ConvLayout:
             gbands = gbands.reshape(kf, nb, s, cin, s, cout)
             kernel._accumulate(np.einsum("ajrioc,jrob->abic", gbands, self.taps))
         if x.requires_grad:
-            gxp = self.grid(grows, w[::-1, ::-1].transpose(0, 1, 3, 2))
-            x._accumulate(gxp[:, self.pf0:self.pf0 + f, self.pt0:self.pt0 + t, :])
+            gxp = self.grid(grows, w[::-1, ::-1].transpose(0, 1, 3, 2), xrows)
+            x._adopt(gxp[:, self.pf0:self.pf0 + f, self.pt0:self.pt0 + t, :])
 
 
 def _conv_operands(op, x, kernel):
@@ -552,7 +577,10 @@ def conv2d(x, kernel):
     kernel gradient is the per-band GEMMs of the same views against the
     output gradient, folded back along the band diagonals; the input gradient
     is the same correlation of the output gradient, led by (kf-1)*Tp + kt-1
-    zero rows, with the flipped, channel-swapped kernel.
+    zero rows, with the flipped, channel-swapped kernel, written over the
+    padded input, whose interior view becomes x's gradient without a copy.
+    The output is a copy of the grid's block, so the gradient rows are a
+    fresh buffer rather than the grid.
     """
     x, kernel, layout = _conv_operands("conv2d", x, kernel)
     n, f, t, _ = x.shape
@@ -738,8 +766,11 @@ def conv_block(x, kernel, bn_state, mode, window=None):
     pooled; max commutes with the monotone ReLU, so a pooled block's ReLU
     runs on the pooled map. Train-mode backward keeps the padded input rows,
     the grid holding x_hat and the output with a uint8 window code per pooled
-    cell, and writes the batch-norm input gradient into the conv's gradient
-    rows. Infer mode is forward-only: no graph inputs, nothing kept.
+    cell. The grid sits inside a buffer shaped as the conv's gradient rows;
+    backward reads x_hat, zeroes the buffer around the output block and
+    writes the batch-norm input gradient over x_hat, and the conv's input
+    gradient goes over the padded input rows (see ``conv2d``). Infer mode
+    is forward-only: no graph inputs, nothing kept.
     """
     x, kernel, layout = _conv_operands("conv_block", x, kernel)
     gamma, beta = bn_state.gamma, bn_state.beta
@@ -758,7 +789,8 @@ def conv_block(x, kernel, bn_state, mode, window=None):
         return lane_sums.reshape(-1, c).sum(axis=0)
 
     xrows = layout.pad(x.data)
-    grid = layout.grid(xrows, kernel.data)
+    grows = layout.out_rows(np.result_type(x.data, kernel.data))
+    grid = layout.grid(xrows, kernel.data, grows[layout.lead:])
     xhat = grid[:, :f].reshape(n, f, -1)[:, :, :lanes]
     if mode == "train":
         mu = channel_sum(np.einsum("nfl->l", xhat)) / m
@@ -801,8 +833,8 @@ def conv_block(x, kernel, bn_state, mode, window=None):
                 gamma._accumulate(gdot)
             if beta.requires_grad:
                 beta._accumulate(gsum)
-            grows, gout = layout.grad_rows(g.dtype)
-            gz = gout.reshape(n, f, lanes)
+            # The gradient rows are the grid's buffer: gz overwrites x_hat.
+            gz = layout._frame(grows, layout.lead, 0, 0).reshape(n, f, lanes)
             np.multiply(xhat, tile(-scale * gdot / m), out=gz)
             gz += tile(-scale * gsum / m)
             rows *= np.tile(scale, rows.shape[2] // c)

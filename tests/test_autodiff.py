@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -626,6 +627,44 @@ def test_grad_never_aliases_the_array_first_accumulated(monkeypatch):
         g[...] = kept
 
 
+@pytest.mark.parametrize("placement", ["none", "l4"])
+def test_no_grad_shares_memory_with_another_grad_or_any_data(placement):
+    # Conv input gradients are views of the padded input rows, taken as grad
+    # without a copy (at l4 the attention's conv2d takes one too).
+    params = acrnn.build(tiny_model_config(attention_placement=placement), seed=9)
+    xb = np.random.default_rng(28).standard_normal((3, 32, 32, 2)).astype(np.float32)
+    probs = acrnn.forward(params, xb, mode="train", rng=np.random.default_rng(29))
+    loss = ad.cross_entropy(probs, Tensor(one_hot([0, 1, 1], 2)))
+    loss.backward()
+    nodes = loss._topo_order()
+    grads = [node.grad for node in nodes if node.grad is not None]
+    assert len(grads) > len(params.tensors)
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, h) for h in grads[i + 1:])
+        assert not any(np.shares_memory(g, node.data) for node in nodes)
+
+
+def test_backward_peak_stays_under_the_forward_peak():
+    # cv_desk widths at 128x128: backward writes its gradient rows over the
+    # x_hat grid and its input gradients over the padded inputs, and frees
+    # each node's saved arrays once the node has run.
+    params = acrnn.build(tiny_model_config(input_bands=128, input_frames=128), seed=10)
+    xb = np.random.default_rng(30).standard_normal((8, 128, 128, 2)).astype(np.float32)
+    targets = Tensor(one_hot([0, 1] * 4, 2))
+    tracemalloc.start()
+    try:
+        probs = acrnn.forward(params, xb, mode="train", rng=np.random.default_rng(31))
+        loss = ad.cross_entropy(probs, targets)
+        start, forward_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loss.backward()
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert backward_peak - start < 1 << 20
+    assert backward_peak <= forward_peak
+
+
 def test_graphs_built_together_give_the_one_at_a_time_gradients():
     params = acrnn.build(tiny_model_config(dropout_p=0.0), seed=8)
     rng = np.random.default_rng(27)
@@ -732,12 +771,22 @@ class TestBackward:
         ad.tensor_sum(ad.mul(x, x)).backward()
         assert np.allclose(x.grad, 2.0 * x.data, atol=1e-6)
 
-    def test_repeated_backward_accumulates(self):
+    def test_leaf_gradients_accumulate_across_graphs(self):
         x = t([1.0, 2.0], requires_grad=True)
-        loss = ad.tensor_sum(ad.mul(x, x))
-        loss.backward()
-        loss.backward()
+        for _ in range(2):
+            ad.tensor_sum(ad.mul(x, x)).backward()
         assert np.allclose(x.grad, 4.0 * x.data, atol=1e-6)
+
+    def test_second_backward_through_one_graph_raises(self):
+        x = t([1.0, 2.0], requires_grad=True)
+        square = ad.mul(x, x)
+        loss = ad.tensor_sum(square)
+        loss.backward()
+        with pytest.raises(GraphError):
+            loss.backward()
+        with pytest.raises(GraphError):  # a new root over the walked nodes
+            ad.tensor_sum(ad.add(square, x)).backward()
+        assert np.allclose(x.grad, 2.0 * x.data, atol=1e-6)
 
     def test_non_scalar_backward_raises(self):
         x = t([1.0, 2.0], requires_grad=True)

@@ -1,3 +1,8 @@
+import ctypes
+import glob
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -129,6 +134,56 @@ def test_float32_train_step_has_no_float64_node_or_gradient():
     assert [n._op for n in nodes if n.dtype != np.float32] == []
     assert [n._op for n in nodes if n.grad is not None and n.grad.dtype != np.float32] == []
     assert all(t.grad.dtype == np.float32 for t in params.tensors.values())
+
+
+# SHA-256 of the parameter gradients of README's defined full-width step at
+# one BLAS thread, on numpy 2.4.6 with its OpenBLAS 0.3.31 on a SkylakeX core.
+DEFINED_STEP_SHA256 = "f13e899f53f8a352a235816b1fa02bacb3ffc1a91e2fccc32f65ce7de2712efa"
+
+DEFINED_STEP = """
+import hashlib
+import numpy as np
+from esckit import autodiff as ad, model as acrnn
+from esckit.data import one_hot
+params = acrnn.build(acrnn.ACRNNConfig(), seed=1)
+x = np.random.default_rng(2).standard_normal((16, 128, 128, 2)).astype(np.float32)
+y = one_hot(np.random.default_rng(3).integers(0, 50, 16), 50)
+probs = acrnn.forward(params, x, mode="train", rng=np.random.default_rng(4))
+ad.cross_entropy(probs, ad.Tensor(y)).backward()
+digest = hashlib.sha256()
+for tensor in params.tensors.values():
+    digest.update(tensor.grad.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _openblas_core():
+    """The core name numpy's bundled OpenBLAS picked at load, or None."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                       "*openblas*")):
+        fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            return fn().decode()
+    return None
+
+
+def _on_the_hashed_build():
+    if np.__version__ != "2.4.6":
+        return False
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return str(blas.get("version", "")).startswith("0.3.31") and _openblas_core() == "SkylakeX"
+
+
+@pytest.mark.skipif(not _on_the_hashed_build(),
+                    reason="the gradient hash holds for one numpy/OpenBLAS build and core")
+def test_defined_full_width_step_keeps_its_gradient_bits():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(acrnn.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", DEFINED_STEP], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert run.stdout.strip() == DEFINED_STEP_SHA256
 
 
 # Graph nodes of one tiny-config train step over a 7-step GRU sequence. Each
