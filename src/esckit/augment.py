@@ -38,21 +38,31 @@ class AugmentConfig:
     mixup_enabled: bool = True
     rng_seed: int = 0
 
+    def __post_init__(self):
+        for name in ("stretch_range", "shift_range_semitones"):
+            r = getattr(self, name)
+            if not isinstance(r, tuple) or len(r) != 2 or not r[0] <= r[1]:
+                raise ValueError(f"{name} must be a (lo, hi) pair with lo <= hi, got {r!r}")
+        if not self.stretch_range[0] > 0:
+            raise ValueError(f"stretch_range must be positive, got {self.stretch_range!r}")
+        if self.copies_per_clip < 0:
+            raise ValueError(f"copies_per_clip must be >= 0, got {self.copies_per_clip}")
 
-def _istft(spectra, n_frames, n_fft=PV_WINDOW, hop=PV_HOP):
+
+def _istft(spectra, n_frames):
     """Windowed overlap-add of n_frames (frames, bins) spectra, normalized by
     the summed squared window.
 
     The spectra come as consecutive blocks of frames, and each block is
     inverted and added before the next is read, so no irfft buffer the size
-    of the clip is built. Each frame splits into n_fft // hop parts of hop
-    samples; output block b takes part k of frame b - k. Adding each block's
-    parts from k = n_fft // hop - 1 down to 0 gives every sample its terms in
+    of the clip is built. Each 1024-sample frame splits into 4 parts of 256
+    samples (the hop); output block b takes part k of frame b - k. Adding each
+    block's parts from k = 3 down to 0 gives every sample its terms in
     ascending frame order, as a per-frame overlap-add loop would, and an
     output block is normalized as soon as its last frame is added.
     """
-    parts = n_fft // hop
-    window = np.hanning(n_fft).reshape(parts, hop)
+    parts, hop = PV_WINDOW // PV_HOP, PV_HOP
+    window = np.hanning(PV_WINDOW).reshape(parts, hop)
     squares = window * window
     out = np.zeros((n_frames + parts - 1, hop))
 
@@ -65,7 +75,7 @@ def _istft(spectra, n_frames, n_fft=PV_WINDOW, hop=PV_HOP):
     start = 0
     for spec in spectra:
         stop = start + spec.shape[0]
-        frames = np.fft.irfft(spec, n=n_fft, axis=1).reshape(-1, parts, hop)
+        frames = np.fft.irfft(spec, n=PV_WINDOW, axis=1).reshape(-1, parts, hop)
         frames *= window
         for k in range(parts - 1, -1, -1):
             out[start + k:stop + k] += frames[:, k]

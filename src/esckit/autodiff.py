@@ -133,11 +133,12 @@ class Tensor:
         """Populate ``grad`` on every reachable requires_grad leaf.
 
         Must be called on a scalar. Leaf gradients accumulate across graphs
-        until ``grad`` is reset to None. The walk consumes the graph: each
-        node drops its closure, and the arrays it saved, once it has run, and
-        backward overwrites saved buffers, so a second ``backward()`` through
-        a walked node raises ``GraphError``. Every ``grad`` is an array of
-        its own (see ``_accumulate`` and ``_adopt``).
+        until ``grad`` is reset to None. The walk consumes the graph: once a
+        node has run it drops its closure, the arrays it saved and, unless it
+        is a leaf, its ``grad``, and backward overwrites saved buffers, so a
+        second ``backward()`` through a walked node raises ``GraphError``.
+        Every ``grad`` is an array of its own (see ``_accumulate`` and
+        ``_adopt``).
         """
         if self.data.size != 1:
             raise GraphError(f"backward() requires a scalar, got shape {self.shape}")
@@ -149,6 +150,8 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
             node._backward = None
+            if node._prev:
+                node.grad = None
 
     # -- operator sugar -----------------------------------------------------
 

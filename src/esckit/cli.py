@@ -20,7 +20,7 @@ from . import __version__
 from .cachefile import CACHE_VERSIONS, CHECKPOINT_VERSION, CacheFormatError, \
     CheckpointFormatError, read_cache_dataset, read_checkpoint, write_atomic
 from .config import ConfigError, RunConfig, dump_config, load_config
-from .dataset import AudioDecodeError, MetadataError, build_cache, load_metadata
+from .dataset import VARIANTS, AudioDecodeError, MetadataError, build_cache, load_metadata
 from .evaluate import EvalReport, ablate, ablation_to_csv, confusion_matrix, cross_validate, \
     evaluate_fold
 from .fdcheck import MODEL_TOLERANCE, OP_TOLERANCE, model_gradient_checks, op_gradient_checks
@@ -47,7 +47,7 @@ def build_parser():
     p.add_argument("--data-dir", help="directory holding the WAV files")
     p.add_argument("--out", help="cache file to write")
     p.add_argument("--seed", type=int, help="master seed override")
-    p.add_argument("--variant", choices=("esc10", "esc50", "custom"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--config", help="run configuration file")
 
     p = sub.add_parser("train", help="train with one held-out fold")
@@ -84,18 +84,10 @@ def build_parser():
 
 def _load_run_config(args):
     config = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    if getattr(args, "meta", None):
-        config.meta_csv = args.meta
-    if getattr(args, "data_dir", None):
-        config.audio_dir = args.data_dir
-    if getattr(args, "out", None):
-        config.cache = args.out
-    if getattr(args, "cache", None):
-        config.cache = args.cache
-    if getattr(args, "variant", None):
-        config.variant = args.variant
-    if getattr(args, "out_dir", None):
-        config.out_dir = args.out_dir
+    for flag, name in (("meta", "meta_csv"), ("data_dir", "audio_dir"), ("out", "cache"),
+                       ("cache", "cache"), ("variant", "variant"), ("out_dir", "out_dir")):
+        if getattr(args, flag, None):
+            setattr(config, name, getattr(args, flag))
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
         config.train.seed = args.seed

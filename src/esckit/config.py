@@ -1,15 +1,16 @@
 """Flat key = value run configuration with section prefixes.
 
 Sections: ``data.*`` (paths and dataset variant), ``run.*`` (output directory
-and master seed), ``train.*``, ``augment.*`` and ``model.*``. Unknown keys are
-rejected so typos fail fast; keys starting with ``manifest.`` are ignored,
-which lets a run manifest double as a config file. ``train.seed`` and
-``augment.rng_seed`` default to ``run.seed`` unless set explicitly.
+and master seed), ``train.*``, ``augment.*`` and ``model.*``; every field of
+the section's dataclass is a key. Unknown keys are rejected so typos fail
+fast; keys starting with ``manifest.`` are ignored, which lets a run manifest
+double as a config file. ``train.seed`` and ``augment.rng_seed`` default to
+``run.seed`` unless set explicitly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .augment import AugmentConfig
 from .model import ACRNNConfig
@@ -36,12 +37,21 @@ class RunConfig:
         return self.train.augmentation
 
 
-_DATA_KEYS = {"meta_csv": str, "audio_dir": str, "cache": str, "variant": str}
-_RUN_KEYS = {"out_dir": str, "seed": int}
+def _sections(config):
+    """(prefix, object, field names) per section of a RunConfig, in dump order."""
+    def names(obj):
+        return [f.name for f in fields(obj) if f.name != "augmentation"]
+    return (("data", config, ["meta_csv", "audio_dir", "cache", "variant"]),
+            ("run", config, ["out_dir", "seed"]),
+            ("train", config.train, names(config.train)),
+            ("augment", config.augment, names(config.augment)),
+            ("model", config.model, names(config.model)))
 
 
-def _coerce(raw, target_type, key):
-    raw = raw.strip()
+def _coerce(raw, current, key):
+    """raw as the type of the field's current value; a tuple entry with a '.'
+    or an 'e' is a float, else an int."""
+    raw, target_type = raw.strip(), type(current)
     try:
         if target_type is bool:
             if raw.lower() in ("true", "1", "yes", "on"):
@@ -49,31 +59,18 @@ def _coerce(raw, target_type, key):
             if raw.lower() in ("false", "0", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
         if target_type is tuple:
             return tuple(float(v) if "." in v or "e" in v.lower() else int(v)
                          for v in raw.split(",") if v.strip())
-        return raw
+        return target_type(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _field_types(dc_type):
-    return {f.name: f.type if isinstance(f.type, type) else type(getattr(dc_type(), f.name))
-            for f in fields(dc_type) if f.name not in ("augmentation",)}
-
-
-def parse_config(text, base=None):
+def parse_config(text):
     """RunConfig from flat key = value text (see module docstring)."""
-    config = base or RunConfig()
-    train_kw, augment_kw, model_kw, data_kw, run_kw = {}, {}, {}, {}, {}
-    train_types = _field_types(TrainConfig)
-    augment_types = _field_types(AugmentConfig)
-    model_types = _field_types(ACRNNConfig)
-
+    sections = {prefix: (obj, names) for prefix, obj, names in _sections(RunConfig())}
+    values = {prefix: {} for prefix in sections}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -87,57 +84,35 @@ def parse_config(text, base=None):
         section, _, name = key.partition(".")
         if not name:
             raise ConfigError(f"line {line_no}: key {key!r} has no section prefix")
-        if section == "train" and name in train_types:
-            train_kw[name] = _coerce(raw, train_types[name], key)
-        elif section == "augment" and name in augment_types:
-            augment_kw[name] = _coerce(raw, augment_types[name], key)
-        elif section == "model" and name in model_types:
-            model_kw[name] = _coerce(raw, model_types[name], key)
-        elif section == "data" and name in _DATA_KEYS:
-            data_kw[name] = _coerce(raw, _DATA_KEYS[name], key)
-        elif section == "run" and name in _RUN_KEYS:
-            run_kw[name] = _coerce(raw, _RUN_KEYS[name], key)
-        else:
+        obj, names = sections.get(section, (None, ()))
+        if name not in names:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
-
-    seed = run_kw.get("seed", config.seed)
-    train_kw.setdefault("seed", seed)
-    augment_kw.setdefault("rng_seed", seed)
-    if "conv_channels" in model_kw:
-        model_kw["conv_channels"] = tuple(int(c) for c in model_kw["conv_channels"])
+        values[section][name] = _coerce(raw, getattr(obj, name), key)
+    seed = values["run"].get("seed", RunConfig.seed)
+    values["train"].setdefault("seed", seed)
+    values["augment"].setdefault("rng_seed", seed)
+    if channels := values["model"].get("conv_channels"):
+        values["model"]["conv_channels"] = tuple(int(c) for c in channels)
     try:
-        augmentation = replace(config.train.augmentation, **augment_kw)
-        train = replace(config.train, augmentation=augmentation, **train_kw)
-        model = replace(config.model, **model_kw)
+        train = TrainConfig(augmentation=AugmentConfig(**values["augment"]), **values["train"])
+        return RunConfig(train=train, model=ACRNNConfig(**values["model"]), **values["data"],
+                         **values["run"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return replace(config, train=train, model=model, **data_kw, **run_kw)
 
 
-def load_config(path, base=None):
+def load_config(path):
     with open(path) as fh:
-        return parse_config(fh.read(), base=base)
+        return parse_config(fh.read())
 
 
 def dump_config(config):
     """The flat key = value text for a RunConfig (parse_config's inverse)."""
     lines = []
-    for name in _DATA_KEYS:
-        lines.append(f"data.{name} = {getattr(config, name)}")
-    for name in _RUN_KEYS:
-        lines.append(f"run.{name} = {getattr(config, name)}")
-    for f in fields(TrainConfig):
-        if f.name == "augmentation":
-            continue
-        lines.append(f"train.{f.name} = {getattr(config.train, f.name)}")
-    for f in fields(AugmentConfig):
-        value = getattr(config.augment, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"augment.{f.name} = {value}")
-    for f in fields(ACRNNConfig):
-        value = getattr(config.model, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"model.{f.name} = {value}")
+    for prefix, obj, names in _sections(config):
+        for name in names:
+            value = getattr(obj, name)
+            if isinstance(value, tuple):
+                value = ",".join(str(v) for v in value)
+            lines.append(f"{prefix}.{name} = {value}")
     return "\n".join(lines) + "\n"

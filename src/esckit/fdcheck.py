@@ -21,19 +21,20 @@ OP_TOLERANCE = 1e-4
 MODEL_TOLERANCE = 1e-3
 
 
-def numeric_gradient(f, x, step=FD_STEP):
-    """Central-difference gradient of scalar f at x (perturbs x in place)."""
-    grad = np.zeros_like(x)
-    flat, gflat = x.reshape(-1), grad.reshape(-1)
-    for i in range(flat.size):
+def _central_differences(f, flat, picks, step):
+    """Central-difference derivatives of the scalar f() with respect to the
+    entries ``picks`` of the 1-d array ``flat``, which f reads; each entry is
+    perturbed in place and restored."""
+    out = np.zeros(len(picks))
+    for j, i in enumerate(picks):
         orig = flat[i]
         flat[i] = orig + step
-        hi = f(x)
+        hi = f()
         flat[i] = orig - step
-        lo = f(x)
+        lo = f()
         flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * step)
-    return grad
+        out[j] = (hi - lo) / (2.0 * step)
+    return out
 
 
 def max_relative_error(analytic, numeric):
@@ -41,8 +42,9 @@ def max_relative_error(analytic, numeric):
     return float(np.abs(analytic - numeric).max() / scale)
 
 
-def check_gradient(builder, inputs, step=FD_STEP):
-    """Compare backward() of builder(*tensors) against finite differences.
+def check_gradient(builder, inputs):
+    """Compare backward() of builder(*tensors) against central differences
+    with step ``FD_STEP``.
 
     builder must be a pure function of the tensors' data and return a scalar
     Tensor. Returns the worst relative error across all inputs.
@@ -53,14 +55,16 @@ def check_gradient(builder, inputs, step=FD_STEP):
     analytic = [t.grad.copy() for t in tensors]
     worst = 0.0
     for tensor, x0, a in zip(tensors, inputs, analytic):
-        def f(xval, tensor=tensor):
+        x = x0.astype(np.float64, copy=True)
+
+        def f(tensor=tensor, x=x):
             saved = tensor.data
-            tensor.data = xval
+            tensor.data = x
             value = float(builder(*tensors).data)
             tensor.data = saved
             return value
-        numeric = numeric_gradient(f, x0.astype(np.float64, copy=True), step)
-        worst = max(worst, max_relative_error(a, numeric))
+        numeric = _central_differences(f, x.reshape(-1), range(x.size), FD_STEP)
+        worst = max(worst, max_relative_error(a, numeric.reshape(x.shape)))
     return worst
 
 
@@ -68,8 +72,8 @@ def _projector(shape, rng):
     return Tensor(rng.standard_normal(shape), dtype=np.float64)
 
 
-def _away_from_zero(x, margin=0.25):
-    return x + margin * np.sign(x)
+def _away_from_zero(x):
+    return x + 0.25 * np.sign(x)
 
 
 def op_gradient_checks(seed=0):
@@ -170,7 +174,7 @@ def op_gradient_checks(seed=0):
 MODEL_FD_STEP = 1e-5
 
 
-def model_gradient_checks(seed=0, samples_per_tensor=6, step=MODEL_FD_STEP):
+def model_gradient_checks(seed=0, samples_per_tensor=6):
     """Finite-difference check of the full network at reduced width.
 
     Uses the 2-class configuration (conv widths /8, GRU hidden 16, 32x32x2
@@ -179,10 +183,11 @@ def model_gradient_checks(seed=0, samples_per_tensor=6, step=MODEL_FD_STEP):
     parameter name -> relative error (scaled by that tensor's gradient
     magnitude over the sampled entries).
 
-    The step is smaller than the per-op 1e-4: perturbing an early conv weight
-    moves every downstream batch-normalized activation, and a wider step lets
-    some of them cross relu/maxpool kinks, which corrupts the central
-    difference without indicating a wrong analytic gradient.
+    The step, ``MODEL_FD_STEP``, is smaller than the per-op 1e-4: perturbing
+    an early conv weight moves every downstream batch-normalized activation,
+    and a wider step lets some of them cross relu/maxpool kinks, which
+    corrupts the central difference without indicating a wrong analytic
+    gradient.
     """
     from . import model as acrnn
 
@@ -199,24 +204,12 @@ def model_gradient_checks(seed=0, samples_per_tensor=6, step=MODEL_FD_STEP):
         probs = acrnn.forward(params, x, mode="train")
         return ad.cross_entropy(probs, targets)
 
-    loss = loss_value()
-    loss.backward()
+    loss_value().backward()
 
     results = {}
     for name, tensor in params.tensors.items():
-        analytic = tensor.grad
         flat = tensor.data.reshape(-1)
-        k = min(samples_per_tensor, flat.size)
-        picks = rng.choice(flat.size, size=k, replace=False)
-        num = np.zeros(k)
-        for j, idx in enumerate(picks):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            hi = float(loss_value().data)
-            flat[idx] = orig - step
-            lo = float(loss_value().data)
-            flat[idx] = orig
-            num[j] = (hi - lo) / (2.0 * step)
-        ana = analytic.reshape(-1)[picks]
-        results[name] = max_relative_error(ana, num)
+        picks = rng.choice(flat.size, size=min(samples_per_tensor, flat.size), replace=False)
+        num = _central_differences(lambda: float(loss_value().data), flat, picks, MODEL_FD_STEP)
+        results[name] = max_relative_error(tensor.grad.reshape(-1)[picks], num)
     return results

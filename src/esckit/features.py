@@ -105,23 +105,20 @@ def erb_bandwidth(freq_hz):
     return 24.7 * (4.37 * np.asarray(freq_hz, dtype=np.float64) / 1000.0 + 1.0)
 
 
-def build_gammatone_filterbank(n_bands=N_BANDS, sr=SAMPLE_RATE, n_fft=STFT_WINDOW,
-                               f_min=20.0, f_max=None):
-    """Gammatone filterbank as a (bands x bins) spectral weighting matrix.
+def build_gammatone_filterbank():
+    """The 128-band gammatone filterbank as a (bands x bins) spectral
+    weighting matrix over the 513 bins of a 1024-point STFT at 44.1 kHz.
 
-    Center frequencies are equally spaced on the ERB-rate scale between f_min
+    Center frequencies are equally spaced on the ERB-rate scale between 20 Hz
     and the Nyquist frequency. Row b samples the squared magnitude response of
     a 4th-order gammatone filter at the FFT bin frequencies; the response is
     1.0 at the center frequency (peak normalization), so nearby bins carry
     weights below 1.
     """
-    if n_bands < 1:
-        raise ValueError(f"n_bands must be >= 1, got {n_bands}")
-    if f_max is None:
-        f_max = sr / 2.0
-    centers = erb_rate_inverse(np.linspace(erb_rate(f_min), erb_rate(f_max), n_bands))
+    f_max = SAMPLE_RATE / 2.0
+    centers = erb_rate_inverse(np.linspace(erb_rate(20.0), erb_rate(f_max), N_BANDS))
     centers = np.minimum(centers, f_max)
-    bins = np.arange(n_fft // 2 + 1) * (sr / n_fft)
+    bins = np.arange(N_BINS) * (SAMPLE_RATE / STFT_WINDOW)
     bandwidth = 1.019 * erb_bandwidth(centers)
     u = (bins[None, :] - centers[:, None]) / bandwidth[:, None]
     weights = (1.0 + u * u) ** -4.0
@@ -152,24 +149,23 @@ def delta(logspec):
     return num / (2.0 * sum(n * n for n in range(1, w + 1)))
 
 
-def segment(static, delta_spec, clip, frames=SEGMENT_FRAMES, hop=SEGMENT_HOP,
-            augmented=False):
-    """Slice static+delta matrices into (frames x frames x 2) segments.
+def segment(static, delta_spec, clip, augmented=False):
+    """Slice static+delta matrices into (bands x 128 x 2) segments.
 
-    Inputs with at least ``frames`` frames yield floor((n-frames)/hop)+1
-    segments at ``hop`` spacing; shorter inputs are zero-padded on the right
-    into a single segment.
+    Inputs with at least 128 frames yield floor((n - 128) / 64) + 1 segments
+    at 64-frame spacing; shorter inputs are zero-padded on the right into a
+    single segment.
     """
     if static.shape != delta_spec.shape:
         raise ValueError(f"static {static.shape} and delta {delta_spec.shape} disagree")
-    n_frames = static.shape[1]
+    frames, n_frames = SEGMENT_FRAMES, static.shape[1]
     if n_frames < frames:
         pad = frames - n_frames
         static = np.pad(static, ((0, 0), (0, pad)))
         delta_spec = np.pad(delta_spec, ((0, 0), (0, pad)))
         n_frames = frames
     out = []
-    for i, start in enumerate(range(0, n_frames - frames + 1, hop)):
+    for i, start in enumerate(range(0, n_frames - frames + 1, SEGMENT_HOP)):
         values = np.stack([static[:, start:start + frames],
                            delta_spec[:, start:start + frames]], axis=-1)
         out.append(LogGTSegment(values=values.astype(np.float32), clip_id=clip.clip_id,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from esckit.autodiff import Tensor
 from esckit.data import SegmentDataset
 from esckit.features import LogGTSegment
 from esckit.model import ACRNNConfig
@@ -35,6 +36,29 @@ def tiny_model_config(**kw):
                     dropout_p=0.5, input_bands=32, input_frames=32)
     defaults.update(kw)
     return ACRNNConfig(**defaults)
+
+
+def record_handed_grads(monkeypatch):
+    """Make each ``Tensor.backward()`` append to the returned list (node, grad)
+    for every graph node: an interior node's grad as the walk hands it to the
+    node's ``_backward`` (the walk then frees it), a leaf's as it stands after
+    the walk. The list keeps every recorded array alive."""
+    handed = []
+    walk = Tensor.backward
+
+    def backward(self):
+        nodes = self._topo_order()
+        for node in nodes:
+            if node._backward is not None:
+                def recorded(g, node=node, fn=node._backward):
+                    handed.append((node, g))
+                    fn(g)
+                node._backward = recorded
+        walk(self)
+        handed.extend((n, n.grad) for n in nodes if not n._prev and n.grad is not None)
+
+    monkeypatch.setattr(Tensor, "backward", backward)
+    return handed
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import tiny_model_config
+from conftest import record_handed_grads, tiny_model_config
 from esckit import autodiff as ad
 from esckit import model as acrnn
 from esckit import train as tr
@@ -616,32 +616,48 @@ def test_grad_never_aliases_the_array_first_accumulated(monkeypatch):
         accumulate(self, g)
 
     monkeypatch.setattr(Tensor, "_accumulate", spy)
+    handed = record_handed_grads(monkeypatch)
     _train_step_arrays()
+    grad_of = {id(node): g for node, g in handed}
     writable = [(node, g) for node, g in firsts
                 if isinstance(g, np.ndarray) and g.flags.writeable]
     assert len(writable) > 10
     for node, g in writable:
-        before, kept = node.grad.copy(), g.copy()
+        grad = grad_of[id(node)]
+        before, kept = grad.copy(), g.copy()
         g[...] = 7.0
-        assert node.grad.tobytes() == before.tobytes(), node
+        assert grad.tobytes() == before.tobytes(), node
         g[...] = kept
 
 
 @pytest.mark.parametrize("placement", ["none", "l4"])
-def test_no_grad_shares_memory_with_another_grad_or_any_data(placement):
+def test_no_grad_shares_memory_with_another_grad_or_any_data(placement, monkeypatch):
     # Conv input gradients are views of the padded input rows, taken as grad
     # without a copy (at l4 the attention's conv2d takes one too).
     params = acrnn.build(tiny_model_config(attention_placement=placement), seed=9)
     xb = np.random.default_rng(28).standard_normal((3, 32, 32, 2)).astype(np.float32)
     probs = acrnn.forward(params, xb, mode="train", rng=np.random.default_rng(29))
     loss = ad.cross_entropy(probs, Tensor(one_hot([0, 1, 1], 2)))
+    handed = record_handed_grads(monkeypatch)
     loss.backward()
     nodes = loss._topo_order()
-    grads = [node.grad for node in nodes if node.grad is not None]
+    grads = [g for _, g in handed]
     assert len(grads) > len(params.tensors)
     for i, g in enumerate(grads):
         assert not any(np.shares_memory(g, h) for h in grads[i + 1:])
         assert not any(np.shares_memory(g, node.data) for node in nodes)
+
+
+def test_backward_frees_every_interior_grad_and_keeps_every_parameter_grad():
+    params = acrnn.build(tiny_model_config(), seed=11)
+    xb = np.random.default_rng(32).standard_normal((3, 32, 32, 2)).astype(np.float32)
+    probs = acrnn.forward(params, xb, mode="train", rng=np.random.default_rng(33))
+    loss = ad.cross_entropy(probs, Tensor(one_hot([0, 1, 1], 2)))
+    loss.backward()
+    nodes = loss._topo_order()
+    assert len([n for n in nodes if n._prev]) > 10
+    assert [n._op for n in nodes if n._prev and n.grad is not None] == []
+    assert all(p.grad is not None for p in params.tensors.values())
 
 
 def test_backward_peak_stays_under_the_forward_peak():

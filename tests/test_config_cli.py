@@ -1,8 +1,15 @@
+import hashlib
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from esckit import cli
 from esckit import config as cfg
+from esckit.augment import AugmentConfig
+from esckit.model import ACRNNConfig
+from esckit.train import TrainConfig
 from esckit.cachefile import CACHE_VERSIONS, CHECKPOINT_VERSION, read_cache
 from esckit.features import SAMPLE_RATE
 from test_dataset import meta_csv, write_wav
@@ -65,6 +72,87 @@ model.conv_channels = 2,2,3,3,4,4,5,5
         base = cfg.parse_config("run.seed = 9\ntrain.lr0 = 0.5\nmodel.gru_hidden = 8\n")
         again = cfg.parse_config(cfg.dump_config(base))
         assert again == base
+
+    def test_every_key_round_trips(self):
+        config = cfg.parse_config(EVERY_KEY)
+        dumped = cfg.dump_config(config)
+        pairs = list(zip(dumped.splitlines(), cfg.dump_config(cfg.RunConfig()).splitlines(),
+                         strict=True))
+        # every dataclass field but the nested ones is a key, and each is set
+        assert len(pairs) == (len(fields(cfg.RunConfig)) - 2 + len(fields(TrainConfig)) - 1
+                              + len(fields(AugmentConfig)) + len(fields(ACRNNConfig)))
+        for line, default in pairs:
+            assert line.partition(" = ")[0] == default.partition(" = ")[0]
+            assert line != default
+        assert cfg.parse_config(dumped) == config
+        assert hashlib.sha256(dumped.encode()).hexdigest() == EVERY_KEY_DUMP_SHA256
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("### Run configuration")[1].split("```ini")[1].split("```")[0]
+        config = cfg.parse_config(example)
+        assert config.variant == "esc10" and config.model.attention_placement == "l10"
+
+    def test_default_dump_is_pinned(self):
+        # A manifest written by an older esckit must keep parsing to its run.
+        dumped = cfg.dump_config(cfg.RunConfig())
+        assert hashlib.sha256(dumped.encode()).hexdigest() == DEFAULT_DUMP_SHA256
+        assert cfg.parse_config(dumped) == cfg.RunConfig()
+
+    @pytest.mark.parametrize("line", [
+        "augment.stretch_range = 1.3",
+        "augment.stretch_range = 1.3,0.8",
+        "augment.stretch_range = -0.5,0.9",
+        "augment.stretch_range = 0,1.2",
+        "augment.shift_range_semitones = 3",
+        "augment.shift_range_semitones = 3,-3",
+        "augment.shift_range_semitones = -3,0,3",
+        "augment.copies_per_clip = -1",
+    ])
+    def test_malformed_augmentation_rejected(self, line):
+        with pytest.raises(cfg.ConfigError, match=line.split(" = ")[0].split(".")[1]):
+            cfg.parse_config(line + "\n")
+
+    def test_degenerate_ranges_accepted(self):
+        config = cfg.parse_config("augment.stretch_range = 1,1\n"
+                                  "augment.shift_range_semitones = 0,0\n"
+                                  "augment.copies_per_clip = 0\n")
+        assert config.augment.stretch_range == (1, 1)
+        assert config.augment.shift_range_semitones == (0, 0)
+
+
+EVERY_KEY = """
+data.meta_csv = m.csv
+data.audio_dir = audio
+data.cache = c.lgt
+data.variant = esc10
+run.out_dir = out
+run.seed = 7
+train.batch_size = 16
+train.epochs = 5
+train.lr0 = 0.02
+train.lr_decay_factor = 5.0
+train.lr_decay_every = 3
+train.momentum = 0.8
+train.l2_coeff = 0.001
+train.seed = 3
+augment.stretch_range = 0.9,1.2
+augment.shift_range_semitones = -2,2.5
+augment.copies_per_clip = 1
+augment.mixup_alpha = 0.4
+augment.mixup_enabled = false
+augment.rng_seed = 5
+model.num_classes = 10
+model.attention_placement = l2
+model.conv_channels = 2,2,3,3,4,4,5,5
+model.gru_hidden = 8
+model.dropout_p = 0.25
+model.input_bands = 64
+model.input_frames = 32
+model.rnn_attention_form = linear
+"""
+EVERY_KEY_DUMP_SHA256 = "82dab7aeb0460a3b85110d425e72022c59ea6b4999dac2c072ac88209783fcc4"
+DEFAULT_DUMP_SHA256 = "f3fdab0f4b39fffe1a2486dac217b5e5cceb777471db00138dec35a5169d8956"
 
 
 def build_audio_tree(tmp_path, n_clips=6, n_folds=2, seconds=1.6):
@@ -180,6 +268,13 @@ class TestCli:
         lines = report.read_text().splitlines()
         assert lines[0].startswith("setting,mean_accuracy")
         assert [row.split(",")[0] for row in lines[1:]] == ["none", "l10"]
+
+    def test_malformed_range_exits_1_before_extracting(self, tmp_path, capsys):
+        config_path = build_audio_tree(tmp_path)
+        config_path.write_text(config_path.read_text() + "augment.stretch_range = 1.3,0.8\n")
+        assert cli.main(["extract", "--config", str(config_path)]) == 1
+        assert "stretch_range" in capsys.readouterr().err
+        assert not (tmp_path / "cache.lgt").exists()
 
     def test_bad_cache_is_validation_error(self, tmp_path):
         config_path = build_audio_tree(tmp_path)
