@@ -47,6 +47,9 @@ class AugmentConfig:
             raise ValueError(f"stretch_range must be positive, got {self.stretch_range!r}")
         if self.copies_per_clip < 0:
             raise ValueError(f"copies_per_clip must be >= 0, got {self.copies_per_clip}")
+        if self.mixup_enabled and not self.mixup_alpha > 0:
+            raise ValueError(f"mixup_alpha must be > 0 while mixup_enabled, "
+                             f"got {self.mixup_alpha}")
 
 
 def _istft(spectra, n_frames):

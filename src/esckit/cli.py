@@ -26,7 +26,7 @@ from .evaluate import EvalReport, ablate, ablation_to_csv, confusion_matrix, cro
 from .fdcheck import MODEL_TOLERANCE, OP_TOLERANCE, model_gradient_checks, op_gradient_checks
 from .features import compute_norm_stats
 from .model import build, load_state
-from .train import train, training_split
+from .train import split_fold, train
 
 
 class _UsageError(Exception):
@@ -172,9 +172,9 @@ def _cmd_train(args):
 def _cmd_eval(args):
     config = _load_run_config(args)
     dataset = _dataset(config)
+    stats = compute_norm_stats(split_fold(dataset, args.fold, config.augment.copies_per_clip)[0])
     params = build(config.model, seed=config.train.seed)
     load_state(params, read_checkpoint(args.checkpoint))
-    stats = compute_norm_stats(training_split(dataset, config.train, args.fold).segments)
     accuracy, predictions, truths = evaluate_fold(dataset, params, stats, args.fold)
     report = EvalReport(fold_accuracies={args.fold: accuracy}, mean_accuracy=accuracy,
                         confusion=confusion_matrix(predictions, truths, dataset.num_classes),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,8 +12,8 @@ class SegmentDataset:
     """A flat list of LogGTSegments plus label-space metadata.
 
     Augmented segments carry the fold and clip_id of their source clip and are
-    flagged, so fold filtering treats them exactly like the raw material they
-    came from while evaluation can exclude them.
+    flagged, so ``train.split_fold`` treats them exactly like the raw material
+    they came from while evaluation can exclude them.
     """
 
     segments: list
@@ -29,33 +28,6 @@ class SegmentDataset:
 
     def __len__(self):
         return len(self.segments)
-
-    def subset(self, folds=None, exclude_folds=None, include_augmented=True):
-        keep = []
-        for s in self.segments:
-            if folds is not None and s.fold not in folds:
-                continue
-            if exclude_folds is not None and s.fold in exclude_folds:
-                continue
-            if not include_augmented and s.augmented:
-                continue
-            keep.append(s)
-        return SegmentDataset(segments=keep, num_classes=self.num_classes,
-                              class_names=self.class_names)
-
-    def clips(self, fold=None):
-        """clip_id -> raw segments, ordered by (clip_id, segment_index)."""
-        grouped = {}
-        for s in self.segments:
-            if (fold is None or s.fold == fold) and not s.augmented:
-                grouped.setdefault(s.clip_id, []).append(s)
-        out = OrderedDict()
-        for clip_id in sorted(grouped):
-            out[clip_id] = sorted(grouped[clip_id], key=lambda s: s.segment_index)
-        return out
-
-    def clip_ids(self, fold=None):
-        return {s.clip_id for s in self.segments if fold is None or s.fold == fold}
 
 
 def one_hot(labels, num_classes):

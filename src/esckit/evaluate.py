@@ -10,7 +10,7 @@ import numpy as np
 from . import model as acrnn
 from .cachefile import write_csv
 from .features import normalize
-from .train import LeakageError, train
+from .train import split_fold, train
 
 GRID_LABELS = ("base", "attention", "augment", "attention+augment")
 
@@ -95,26 +95,12 @@ def confusion_matrix(predictions, truths, num_classes):
     return out
 
 
-def fold_split(dataset):
-    """fold id -> clip_id set of each fold that holds a segment; folds must be disjoint."""
-    split = {}
-    owner = {}
-    for s in dataset.segments:
-        prior = owner.get(s.clip_id)
-        if prior is not None and prior != s.fold:
-            raise ValueError(f"clip {s.clip_id!r} appears in folds {prior} and {s.fold}")
-        owner[s.clip_id] = s.fold
-        split.setdefault(s.fold, set()).add(s.clip_id)
-    return split
-
-
 def evaluate_fold(dataset, params, stats, fold, batch_size=64):
     """Clip accuracy plus (predictions, truths) for one held-out fold."""
-    clips = dataset.clips(fold=fold)
+    _, clips, truths, _ = split_fold(dataset, fold)
     if not clips:
         raise ValueError(f"fold {fold} has zero clips")
-    predictions = [pred for pred, _ in predict_clips(params, clips.values(), stats, batch_size)]
-    truths = [segs[0].label for segs in clips.values()]
+    predictions = [pred for pred, _ in predict_clips(params, clips, stats, batch_size)]
     accuracy = float(np.mean([p == t for p, t in zip(predictions, truths)]))
     return accuracy, predictions, truths
 
@@ -122,32 +108,25 @@ def evaluate_fold(dataset, params, stats, fold, batch_size=64):
 def cross_validate(dataset, train_config, model_config, out_dir=None):
     """Train once per fold on the remaining folds and evaluate the held-out one.
 
-    Per-fold runs derive their seed as base seed + fold id. Normalization
-    statistics and augmented segments come from the training folds only; the
-    harness re-asserts the no-leakage property on every fold. Each fold is
-    scored by the predictions of its last training epoch, which ``train``
-    makes with the final parameters.
+    Per-fold runs derive their seed as base seed + fold id. Every fold's
+    ``split_fold`` is checked before the first one trains: a clip tagged with
+    two folds or a fold with no raw clip fails at once. Normalization
+    statistics and augmented segments come from the training folds only, which
+    ``train`` asserts. Each fold is scored by the predictions of its last
+    training epoch, which ``train`` makes with the final parameters.
     """
-    split = fold_split(dataset)
+    folds = sorted({s.fold for s in dataset.segments})
+    for fold in folds:
+        if not split_fold(dataset, fold)[1]:
+            raise ValueError(f"fold {fold} has zero clips")
     k = dataset.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)
     fold_accuracies = {}
-    evaluated = set()
-    for fold in sorted(split):
+    for fold in folds:
         fold_config = replace(train_config, seed=train_config.seed + fold)
         result = train(dataset, fold_config, model_config, held_out_fold=fold,
                        out_dir=None if out_dir is None else os.path.join(out_dir, f"fold{fold}"))
-        test_ids = split[fold]
-        if result.stats_clip_ids & test_ids or result.contributing_clip_ids & test_ids:
-            raise LeakageError(f"fold {fold}: held-out clips leaked into training")
-        predictions, truths = result.val_predictions, result.val_truths
-        if not truths:
-            raise ValueError(f"fold {fold} has zero clips")
-        already = evaluated & test_ids
-        if already:
-            raise LeakageError(f"clips evaluated twice: {sorted(already)[:3]}")
-        evaluated |= test_ids
-        confusion += confusion_matrix(predictions, truths, k)
+        confusion += confusion_matrix(result.val_predictions, result.val_truths, k)
         fold_accuracies[fold] = float(result.history.rows[-1].val_acc)
     report = EvalReport(fold_accuracies=fold_accuracies,
                         mean_accuracy=float(np.mean(list(fold_accuracies.values()))),

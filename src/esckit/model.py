@@ -48,6 +48,8 @@ class ACRNNConfig:
                              f"got {self.rnn_attention_form!r}")
         if len(self.conv_channels) != 8:
             raise ValueError(f"conv_channels needs 8 entries, got {len(self.conv_channels)}")
+        if not 0 <= self.dropout_p < 1:
+            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
 
     def conv_output_dims(self):
         f, t = self.input_bands, self.input_frames

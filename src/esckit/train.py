@@ -7,7 +7,10 @@ coupled L2 weight decay on weight tensors only, and a step learning-rate
 schedule that divides by 10 every 100 epochs. Normalization statistics come
 from the training folds alone; the held-out fold never contributes a
 gradient, an augmented copy, or a statistic, and this is asserted every
-epoch.
+epoch. ``split_fold`` is the one place the fold rule lives: ``train``,
+``evaluate.evaluate_fold``, ``evaluate.cross_validate`` and the CLI's
+``eval`` all take their held-out split from it, so a clip tagged with two
+folds is the same ``LeakageError`` (a validation error, CLI exit 1) for each.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .data import one_hot
 from .features import compute_norm_stats, normalize
 
 
-class LeakageError(RuntimeError):
+class LeakageError(ValueError):
     """Held-out fold data reached training statistics or gradients."""
 
 
@@ -41,6 +44,17 @@ class TrainConfig:
     l2_coeff: float = 1e-4
     seed: int = 0
     augmentation: AugmentConfig = field(default_factory=AugmentConfig)
+
+    def __post_init__(self):
+        for name in ("batch_size", "epochs", "lr_decay_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr0", "momentum", "l2_coeff"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not self.lr_decay_factor > 0:
+            raise ValueError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
 
 
 @dataclass
@@ -143,12 +157,30 @@ def mix_batch(xb, yb, alpha, rng):
         batch += partner
 
 
-def training_split(dataset, config, held_out_fold):
-    """The segments that train the model for ``held_out_fold`` and give its
-    normalization statistics: every other fold's, augmented copies included
-    iff the augment config makes them (``copies_per_clip > 0``)."""
-    use_aug = config.augmentation.copies_per_clip > 0
-    return dataset.subset(exclude_folds={held_out_fold}, include_augmented=use_aug)
+def split_fold(dataset, fold, copies_per_clip=0):
+    """The held-out split for ``fold``: (training segments, held-out clips,
+    held-out labels, held-out clip ids).
+
+    The training segments are every other fold's, in dataset order, with the
+    augmented copies iff ``copies_per_clip > 0``; they train the model and give
+    its normalization statistics. Each held-out clip is the list of its raw
+    segments by segment index, clips by clip id, with one label per clip. The
+    id set holds every clip tagged with ``fold``, augmented copies included.
+    Raises LeakageError when a clip is tagged with two folds.
+    """
+    owner, training, held = {}, [], {}
+    for s in dataset.segments:
+        if owner.setdefault(s.clip_id, s.fold) != s.fold:
+            raise LeakageError(f"clip {s.clip_id!r} appears in folds {owner[s.clip_id]} "
+                               f"and {s.fold}")
+        if s.fold != fold:
+            if copies_per_clip > 0 or not s.augmented:
+                training.append(s)
+        elif not s.augmented:
+            held.setdefault(s.clip_id, []).append(s)
+    clips = [sorted(held[c], key=lambda s: s.segment_index) for c in sorted(held)]
+    held_out_ids = {c for c, f in owner.items() if f == fold}
+    return training, clips, [segs[0].label for segs in clips], held_out_ids
 
 
 def _train_step(params, opt, xb, yb, lr, config, rng):
@@ -182,21 +214,16 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
     """
     from .evaluate import predict_clips  # local import; evaluate builds on train
 
-    if config.epochs < 1:
-        raise ValueError(f"training needs at least one epoch, got {config.epochs}")
-    train_ds = training_split(dataset, config, held_out_fold)
-    if not len(train_ds):
+    segments, val_clips, val_truths, held_out_ids = split_fold(
+        dataset, held_out_fold, config.augmentation.copies_per_clip)
+    if not segments:
         raise ValueError(f"no training segments outside fold {held_out_fold}")
-    val_clips = dataset.clips(fold=held_out_fold)
-    val_truths = [segs[0].label for segs in val_clips.values()]
-    held_out_ids = dataset.clip_ids(fold=held_out_fold)
 
-    stats_clip_ids = {s.clip_id for s in train_ds.segments}
+    stats_clip_ids = {s.clip_id for s in segments}
     if stats_clip_ids & held_out_ids:
         raise LeakageError(f"fold {held_out_fold} clips present in training segments")
-    stats = compute_norm_stats(train_ds.segments)
+    stats = compute_norm_stats(segments)
 
-    segments = train_ds.segments
     labels = np.array([s.label for s in segments], dtype=np.int64)
     k = dataset.num_classes
     n = len(segments)
@@ -236,7 +263,7 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
                                f"contributed gradients in epoch {epoch}")
         contributing |= epoch_ids
 
-        val_predictions = [pred for pred, _ in predict_clips(params, val_clips.values(), stats,
+        val_predictions = [pred for pred, _ in predict_clips(params, val_clips, stats,
                                                              config.batch_size)]
         val_correct = sum(p == t for p, t in zip(val_predictions, val_truths))
         val_acc = val_correct / len(val_clips) if val_clips else float("nan")

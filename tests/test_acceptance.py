@@ -210,7 +210,7 @@ def test_criterion_7_protocol_integrity(synthetic_50clip_cache):
     root = synthetic_50clip_cache
     from esckit.cachefile import read_cache_dataset
     dataset = read_cache_dataset(root / "cache.lgt", num_classes=2)
-    assert len(dataset.clip_ids()) == 50
+    assert len({s.clip_id for s in dataset.segments}) == 50
 
     config = tr.TrainConfig(batch_size=64, epochs=2, seed=5,
                             augmentation=AugmentConfig(copies_per_clip=1, mixup_enabled=True))
@@ -228,7 +228,8 @@ def test_criterion_7_protocol_integrity(synthetic_50clip_cache):
         tr.train(poisoned, config, tiny_model_config(input_bands=128, input_frames=128),
                  held_out_fold=2)
 
-    two_folds = dataset.subset(folds={1, 2})
+    two_folds = SegmentDataset(segments=[s for s in dataset.segments if s.fold in {1, 2}],
+                               num_classes=2)
     quick = tr.TrainConfig(batch_size=64, epochs=1, seed=5,
                            augmentation=AugmentConfig(copies_per_clip=1, mixup_enabled=True))
     placement_rows = ev.ablate(two_folds, quick,

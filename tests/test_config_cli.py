@@ -10,9 +10,20 @@ from esckit import config as cfg
 from esckit.augment import AugmentConfig
 from esckit.model import ACRNNConfig
 from esckit.train import TrainConfig
-from esckit.cachefile import CACHE_VERSIONS, CHECKPOINT_VERSION, read_cache
+from esckit.cachefile import CACHE_VERSIONS, CHECKPOINT_VERSION, read_cache, write_cache
 from esckit.features import SAMPLE_RATE
 from test_dataset import meta_csv, write_wav
+
+
+BAD_RUN_SETTINGS = [
+    "train.batch_size = 0",
+    "train.lr_decay_every = 0",
+    "train.epochs = -1",
+    "train.lr0 = nan",
+    "train.lr_decay_factor = 0",
+    "augment.mixup_alpha = 0",
+    "model.dropout_p = 1.5",
+]
 
 
 class TestConfig:
@@ -113,12 +124,28 @@ model.conv_channels = 2,2,3,3,4,4,5,5
         with pytest.raises(cfg.ConfigError, match=line.split(" = ")[0].split(".")[1]):
             cfg.parse_config(line + "\n")
 
+    @pytest.mark.parametrize("line", BAD_RUN_SETTINGS + [
+        "train.epochs = 0",
+        "train.lr0 = -0.01",
+        "train.momentum = inf",
+        "train.l2_coeff = -1e-4",
+        "train.lr_decay_factor = -10",
+        "model.dropout_p = 1",
+        "model.dropout_p = -0.1",
+    ])
+    def test_malformed_run_setting_rejected(self, line):
+        with pytest.raises(cfg.ConfigError, match=line.split(" = ")[0].split(".")[1]):
+            cfg.parse_config(line + "\n")
+
     def test_degenerate_ranges_accepted(self):
         config = cfg.parse_config("augment.stretch_range = 1,1\n"
                                   "augment.shift_range_semitones = 0,0\n"
-                                  "augment.copies_per_clip = 0\n")
+                                  "augment.copies_per_clip = 0\n"
+                                  "augment.mixup_alpha = 0\n"
+                                  "augment.mixup_enabled = false\n")
         assert config.augment.stretch_range == (1, 1)
         assert config.augment.shift_range_semitones == (0, 0)
+        assert config.augment.mixup_alpha == 0.0
 
 
 EVERY_KEY = """
@@ -275,6 +302,36 @@ class TestCli:
         assert cli.main(["extract", "--config", str(config_path)]) == 1
         assert "stretch_range" in capsys.readouterr().err
         assert not (tmp_path / "cache.lgt").exists()
+
+    @pytest.mark.parametrize("line", BAD_RUN_SETTINGS)
+    def test_malformed_run_setting_exits_1_before_reading_the_cache(self, tmp_path, capsys, line):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(f"data.cache = {tmp_path / 'missing.lgt'}\n{line}\n")
+        assert cli.main(["train", "--config", str(config_path), "--fold", "1"]) == 1
+        err = capsys.readouterr().err
+        assert line.split(" = ")[0].split(".")[1] in err and "missing.lgt" not in err
+
+    def test_clip_in_two_folds_exits_1_everywhere(self, tmp_path, capsys):
+        config_path = build_audio_tree(tmp_path)
+        config_path.write_text(config_path.read_text() + "augment.copies_per_clip = 1\n")
+        assert cli.main(["extract", "--config", str(config_path)]) == 0
+        assert cli.main(["train", "--config", str(config_path), "--fold", "2"]) == 0
+        cache = tmp_path / "cache.lgt"
+        segments = read_cache(cache)
+        # clip1's raw segments stay in fold 2; its augmented copy moves to fold 1
+        for seg in segments:
+            if seg.clip_id == "clip1.wav" and seg.augmented:
+                seg.fold = 1
+        write_cache(cache, segments)
+        capsys.readouterr()
+        for argv in (["train", "--fold", "2"],
+                     ["eval", "--fold", "2", "--checkpoint", str(tmp_path / "out" / "ckpt_final"),
+                      "--report", str(tmp_path / "eval.csv")],
+                     ["cv"]):
+            assert cli.main(argv + ["--config", str(config_path)]) == 1, argv[0]
+            err = capsys.readouterr().err
+            assert err == "error: clip 'clip1.wav' appears in folds 2 and 1\n", argv[0]
+        assert not (tmp_path / "eval.csv").exists()
 
     def test_bad_cache_is_validation_error(self, tmp_path):
         config_path = build_audio_tree(tmp_path)

@@ -7,7 +7,7 @@ from esckit import model as acrnn
 from esckit.augment import AugmentConfig
 from esckit.data import SegmentDataset
 from esckit.features import LogGTSegment, NormStats, apply_norm
-from esckit.train import TrainConfig, train
+from esckit.train import TrainConfig, split_fold, train
 
 
 def quick_train_config(**kw):
@@ -160,17 +160,29 @@ class TestConfusionMatrix:
 
 
 class TestFoldSplit:
-    def test_split_partitions_clips(self, synthetic_dataset):
-        split = ev.fold_split(synthetic_dataset)
-        assert sorted(split) == [1, 2, 3, 4, 5]
-        all_ids = set().union(*split.values())
-        assert all_ids == synthetic_dataset.clip_ids()
-        assert sum(len(v) for v in split.values()) == len(all_ids)
+    def test_split_partitions_clips(self):
+        dataset = make_segment_dataset(augmented_copies=1)
+        all_ids = {s.clip_id for s in dataset.segments}
+        held_out = {}
+        for fold in [1, 2, 3, 4, 5]:
+            training, clips, labels, held_ids = split_fold(dataset, fold)
+            assert {s.clip_id for s in training} == all_ids - held_ids
+            assert not any(s.augmented for s in training)
+            assert [segs[0].clip_id for segs in clips] == sorted(held_ids)
+            assert all(not s.augmented and s.fold == fold for segs in clips for s in segs)
+            assert labels == [segs[0].label for segs in clips]
+            with_copies = split_fold(dataset, fold, copies_per_clip=1)[0]
+            assert [id(s) for s in with_copies] == [id(s) for s in dataset.segments
+                                                    if s.fold != fold]
+            held_out[fold] = held_ids
+        assert set().union(*held_out.values()) == all_ids
+        assert sum(len(v) for v in held_out.values()) == len(all_ids)
 
     def test_clip_in_two_folds_rejected(self, synthetic_dataset):
         synthetic_dataset.segments[0].fold = 3
-        with pytest.raises(ValueError):
-            ev.fold_split(synthetic_dataset)
+        for fold in [1, 2, 3, 4, 5]:
+            with pytest.raises(ValueError, match="appears in folds 3 and 1"):
+                split_fold(synthetic_dataset, fold)
 
     def test_empty_fold_evaluation_rejected(self, synthetic_dataset):
         params = acrnn.build(tiny_model_config(), seed=0)
@@ -178,6 +190,14 @@ class TestFoldSplit:
         stats = NormStats(mean=np.zeros(2, np.float32), std=np.ones(2, np.float32))
         with pytest.raises(ValueError):
             ev.evaluate_fold(synthetic_dataset, params, stats, fold=99)
+
+    def test_one_fold_dataset_evaluates_without_training_segments(self):
+        dataset = make_segment_dataset(n_clips=4, n_folds=1)
+        params = acrnn.build(tiny_model_config(), seed=0)
+        stats = NormStats(mean=np.zeros(2, np.float32), std=np.ones(2, np.float32))
+        accuracy, predictions, truths = ev.evaluate_fold(dataset, params, stats, 1)
+        assert truths == [0, 1, 0, 1] and len(predictions) == 4
+        assert 0.0 <= accuracy <= 1.0
 
 
 class TestCrossValidate:
@@ -196,6 +216,18 @@ class TestCrossValidate:
         assert (tmp_path / "confusion.csv").exists()
         header = (tmp_path / "confusion.csv").read_text().splitlines()[0]
         assert "class0" in header and "class1" in header
+
+    def test_fold_without_raw_clip_rejected_before_training(self, monkeypatch):
+        dataset = make_segment_dataset(n_clips=10)
+        copy = dataset.segments[0]
+        dataset.segments.append(LogGTSegment(values=copy.values, clip_id="aug-only",
+                                             segment_index=0, label=0, fold=6,
+                                             augmented=True))
+        calls = []
+        monkeypatch.setattr(ev, "train", lambda *a, **kw: calls.append(a) or train(*a, **kw))
+        with pytest.raises(ValueError, match="fold 6 has zero clips"):
+            ev.cross_validate(dataset, quick_train_config(), tiny_model_config())
+        assert calls == []
 
     def test_fold_scores_are_the_final_parameters_evaluation(self):
         dataset = make_segment_dataset(n_clips=20, augmented_copies=1)

@@ -279,7 +279,8 @@ class TestTrain:
         config = quick_config(epochs=1,
                               augmentation=AugmentConfig(copies_per_clip=1, mixup_enabled=True))
         result = tr.train(dataset, config, tiny_model_config(), held_out_fold=2)
-        held = dataset.clip_ids(fold=2)
+        held = tr.split_fold(dataset, 2)[3]
+        assert held == {f"clip{i:03d}" for i in range(1, 20, 5)}
         assert not (result.contributing_clip_ids & held)
         assert not (result.stats_clip_ids & held)
 
