@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cachefile import CACHE_VERSIONS, CHECKPOINT_VERSION, CacheFormatError, \
-    CheckpointFormatError, read_cache_dataset, read_checkpoint, write_atomic
+from .cachefile import CACHE_SEGMENT_SHAPE, CACHE_VERSIONS, CHECKPOINT_VERSION, \
+    CacheFormatError, CheckpointFormatError, read_cache_dataset, read_checkpoint, write_atomic
 from .config import ConfigError, RunConfig, dump_config, load_config
 from .dataset import VARIANTS, AudioDecodeError, MetadataError, build_cache, load_metadata
 from .evaluate import EvalReport, ablate, ablation_to_csv, confusion_matrix, cross_validate, \
@@ -137,6 +137,10 @@ def _write_manifest(path, config, command):
 def _dataset(config):
     if not config.cache:
         raise ConfigError("no cache path given (flag --cache or key data.cache)")
+    model_input = (config.model.input_bands, config.model.input_frames)
+    if model_input != CACHE_SEGMENT_SHAPE[:2]:
+        raise ConfigError(f"model.input_bands/input_frames {model_input} differ from the "
+                          f"cache's {CACHE_SEGMENT_SHAPE[:2]} segments")
     class_names = {}
     if config.meta_csv and os.path.exists(config.meta_csv):
         # the cache stores no category strings; recover them for report headers
@@ -173,7 +177,7 @@ def _cmd_eval(args):
     config = _load_run_config(args)
     dataset = _dataset(config)
     stats = compute_norm_stats(split_fold(dataset, args.fold, config.augment.copies_per_clip)[0])
-    params = build(config.model, seed=config.train.seed)
+    params = build(config.model)
     load_state(params, read_checkpoint(args.checkpoint))
     accuracy, predictions, truths = evaluate_fold(dataset, params, stats, args.fold)
     report = EvalReport(fold_accuracies={args.fold: accuracy}, mean_accuracy=accuracy,

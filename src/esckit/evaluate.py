@@ -108,9 +108,8 @@ def evaluate_fold(dataset, params, stats, fold, batch_size=64):
 def cross_validate(dataset, train_config, model_config, out_dir=None):
     """Train once per fold on the remaining folds and evaluate the held-out one.
 
-    Per-fold runs derive their seed as base seed + fold id. Every fold's
-    ``split_fold`` is checked before the first one trains: a clip tagged with
-    two folds or a fold with no raw clip fails at once. Normalization
+    Every fold's ``split_fold`` is checked before the first one trains: a clip
+    tagged with two folds or a fold with no raw clip fails at once. Normalization
     statistics and augmented segments come from the training folds only, which
     ``train`` asserts. Each fold is scored by the predictions of its last
     training epoch, which ``train`` makes with the final parameters.
@@ -123,8 +122,7 @@ def cross_validate(dataset, train_config, model_config, out_dir=None):
     confusion = np.zeros((k, k), dtype=np.int64)
     fold_accuracies = {}
     for fold in folds:
-        fold_config = replace(train_config, seed=train_config.seed + fold)
-        result = train(dataset, fold_config, model_config, held_out_fold=fold,
+        result = train(dataset, train_config, model_config, held_out_fold=fold,
                        out_dir=None if out_dir is None else os.path.join(out_dir, f"fold{fold}"))
         confusion += confusion_matrix(result.val_predictions, result.val_truths, k)
         fold_accuracies[fold] = float(result.history.rows[-1].val_acc)

@@ -15,7 +15,7 @@ vectors.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,12 +50,18 @@ class ACRNNConfig:
             raise ValueError(f"conv_channels needs 8 entries, got {len(self.conv_channels)}")
         if not 0 <= self.dropout_p < 1:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+        self.conv_output_dims()
 
     def conv_output_dims(self):
+        """(bands, frames) after the pool stages; a ValueError when a pool
+        window exceeds the map it pools."""
         f, t = self.input_bands, self.input_frames
-        for i in POOLS:
-            f //= POOLS[i][0]
-            t //= POOLS[i][1]
+        for i, (pf, pt) in POOLS.items():
+            for name, size, window in (("input_bands", f, pf), ("input_frames", t, pt)):
+                if size < window:
+                    raise ValueError(f"{name} = {getattr(self, name)} is too small: the l{i} "
+                                     f"pool window {(pf, pt)} exceeds its {(f, t)} map")
+            f, t = f // pf, t // pt
         return f, t
 
 
@@ -69,93 +75,64 @@ class ModelParams:
     bn: "dict[str, BatchNormState]"
     gru1: BiGRUParams
     gru2: BiGRUParams
-    weight_names: tuple = field(default_factory=tuple)
+    weight_names: tuple
 
     def parameter_count(self):
         return sum(t.data.size for t in self.tensors.values())
 
 
-def _gru_layer(tensors, prefix, din, hidden, dtype):
-    def direction(side):
-        w_x = Tensor(np.zeros((din, 3 * hidden), dtype=dtype), requires_grad=True)
-        w_h = Tensor(np.zeros((hidden, 3 * hidden), dtype=dtype), requires_grad=True)
-        b = Tensor(np.zeros(3 * hidden, dtype=dtype), requires_grad=True)
-        tensors[f"{prefix}.{side}.w_x"] = w_x
-        tensors[f"{prefix}.{side}.w_h"] = w_h
-        tensors[f"{prefix}.{side}.b"] = b
-        return GRUDirParams(w_x, w_h, b)
-    return BiGRUParams(fw=direction("fw"), bw=direction("bw"))
-
-
 def build(config, seed=0, dtype=np.float32):
-    """Construct ModelParams: weights ~ N(0, INIT_STD^2), biases 0, BN gamma 1 / beta 0.
+    """Construct ModelParams: weights ~ N(0, INIT_STD^2) drawn in declaration
+    order from one seeded stream, biases 0, BN gamma 1 / beta 0.
 
-    Two builds with the same seed are bitwise identical.
+    Declaring a weight is what puts it in ``weight_names``, the tensors that
+    get L2 decay. Two builds with the same seed are bitwise identical.
     """
+    rng = np.random.default_rng(seed)
     tensors = OrderedDict()
-    bn = {}
     weight_names = []
 
+    def declare(name, shape, weight=True):
+        if weight:
+            data = rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
+            weight_names.append(name)
+        else:
+            data = np.zeros(shape, dtype=dtype)
+        tensors[name] = Tensor(data, requires_grad=True)
+        return tensors[name]
+
+    bn = {}
     cin = 2
     for i, ((kf, kt), cout) in enumerate(zip(CONV_KERNELS, config.conv_channels), start=1):
-        tensors[f"conv{i}.kernel"] = Tensor(np.zeros((kf, kt, cin, cout), dtype=dtype),
-                                            requires_grad=True)
-        weight_names.append(f"conv{i}.kernel")
-        state = BatchNormState.create(cout, dtype=dtype)
-        bn[f"bn{i}"] = state
-        tensors[f"bn{i}.gamma"] = state.gamma
-        tensors[f"bn{i}.beta"] = state.beta
+        declare(f"conv{i}.kernel", (kf, kt, cin, cout))
+        bn[f"bn{i}"] = state = BatchNormState.create(cout, dtype=dtype)
+        tensors[f"bn{i}.gamma"], tensors[f"bn{i}.beta"] = state.gamma, state.beta
         cin = cout
 
     f_out, _ = config.conv_output_dims()
     hidden = config.gru_hidden
-    gru1 = _gru_layer(tensors, "gru1", f_out * config.conv_channels[-1], hidden, dtype)
-    gru2 = _gru_layer(tensors, "gru2", 2 * hidden, hidden, dtype)
-    weight_names += ["gru1.fw.w_x", "gru1.fw.w_h", "gru1.bw.w_x", "gru1.bw.w_h",
-                     "gru2.fw.w_x", "gru2.fw.w_h", "gru2.bw.w_x", "gru2.bw.w_h"]
+    grus = {}
+    for layer, din in (("gru1", f_out * config.conv_channels[-1]), ("gru2", 2 * hidden)):
+        sides = [GRUDirParams(declare(f"{layer}.{side}.w_x", (din, 3 * hidden)),
+                              declare(f"{layer}.{side}.w_h", (hidden, 3 * hidden)),
+                              declare(f"{layer}.{side}.b", 3 * hidden, weight=False))
+                 for side in ("fw", "bw")]
+        grus[layer] = BiGRUParams(*sides)
 
     placement = config.attention_placement
     if placement in ("l2", "l4", "l6", "l8"):
-        c_at = config.conv_channels[int(placement[1:]) - 1]
-        tensors["att.kernel"] = Tensor(np.zeros((3, 3, c_at, 1), dtype=dtype), requires_grad=True)
-        weight_names.append("att.kernel")
+        declare("att.kernel", (3, 3, config.conv_channels[int(placement[1:]) - 1], 1))
+    elif placement == "l10" and config.rnn_attention_form == "mlp":
+        declare("att.w1", (2 * hidden, hidden))
+        declare("att.b1", hidden, weight=False)
+        declare("att.ctx", hidden)
     elif placement == "l10":
-        if config.rnn_attention_form == "mlp":
-            tensors["att.w1"] = Tensor(np.zeros((2 * hidden, hidden), dtype=dtype),
-                                       requires_grad=True)
-            tensors["att.b1"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-            tensors["att.ctx"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-            weight_names += ["att.w1", "att.ctx"]
-        else:
-            tensors["att.w"] = Tensor(np.zeros(2 * hidden, dtype=dtype), requires_grad=True)
-            weight_names.append("att.w")
+        declare("att.w", 2 * hidden)
 
-    tensors["fc.weight"] = Tensor(np.zeros((2 * hidden, config.num_classes), dtype=dtype),
-                                  requires_grad=True)
-    tensors["fc.bias"] = Tensor(np.zeros(config.num_classes, dtype=dtype), requires_grad=True)
-    weight_names.append("fc.weight")
-
-    params = ModelParams(config=config, tensors=tensors, bn=bn, gru1=gru1, gru2=gru2,
-                         weight_names=tuple(weight_names))
-    randomize_weights(params, seed=seed)
-    return params
-
-
-def randomize_weights(params, seed=0):
-    """(Re)initialize in place: weights ~ N(0, INIT_STD^2); biases 0; BN reset."""
-    rng = np.random.default_rng(seed)
-    weight_set = set(params.weight_names)
-    for name, tensor in params.tensors.items():
-        if name in weight_set:
-            tensor.data = rng.normal(0.0, INIT_STD, size=tensor.shape).astype(tensor.dtype)
-        elif name.endswith(".gamma"):
-            tensor.data = np.ones(tensor.shape, dtype=tensor.dtype)
-        else:
-            tensor.data = np.zeros(tensor.shape, dtype=tensor.dtype)
-        tensor.grad = None
-    for state in params.bn.values():
-        state.running_mean = np.zeros_like(state.running_mean)
-        state.running_var = np.ones_like(state.running_var)
+    declare("fc.weight", (2 * hidden, config.num_classes))
+    declare("fc.bias", config.num_classes, weight=False)
+    return ModelParams(config=config, tensors=tensors, bn=bn, weight_names=tuple(weight_names),
+                       **grus)
 
 
 # -- attention ------------------------------------------------------------------

@@ -11,6 +11,11 @@ epoch. ``split_fold`` is the one place the fold rule lives: ``train``,
 ``evaluate.evaluate_fold``, ``evaluate.cross_validate`` and the CLI's
 ``eval`` all take their held-out split from it, so a clip tagged with two
 folds is the same ``LeakageError`` (a validation error, CLI exit 1) for each.
+
+A run that holds out fold k is seeded with ``TrainConfig.seed + k``: the model
+draw and the shuffle, dropout and mixup streams all derive from it. So
+``train`` on fold k and fold k of ``evaluate.cross_validate`` are the same run,
+bit for bit, and the folds can run as separate processes.
 """
 
 from __future__ import annotations
@@ -229,11 +234,12 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
     n = len(segments)
     steps_per_epoch = -(-n // config.batch_size)
 
-    params = acrnn.build(model_config, seed=config.seed)
+    seed = config.seed + held_out_fold
+    params = acrnn.build(model_config, seed=seed)
     opt = OptimizerState.create(params)
-    rng_shuffle = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-    rng_dropout = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
-    rng_mixup = np.random.default_rng(np.random.SeedSequence([config.seed, 3]))
+    rng_shuffle = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    rng_dropout = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    rng_mixup = np.random.default_rng(np.random.SeedSequence([seed, 3]))
 
     mixup_on = config.augmentation.mixup_enabled
     alpha = config.augmentation.mixup_alpha

@@ -23,6 +23,8 @@ BAD_RUN_SETTINGS = [
     "train.lr_decay_factor = 0",
     "augment.mixup_alpha = 0",
     "model.dropout_p = 1.5",
+    "model.input_bands = 16",
+    "model.input_frames = 17",
 ]
 
 
@@ -103,6 +105,13 @@ model.conv_channels = 2,2,3,3,4,4,5,5
         example = readme.split("### Run configuration")[1].split("```ini")[1].split("```")[0]
         config = cfg.parse_config(example)
         assert config.variant == "esc10" and config.model.attention_placement == "l10"
+
+    def test_readme_quick_start_runs(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        namespace = {}
+        exec(readme.split("```python")[1].split("```")[0], namespace)
+        assert namespace["probs"].shape == (5, 50)
+        assert np.allclose(namespace["probs"].sum(axis=1), 1.0, atol=1e-5)
 
     def test_default_dump_is_pinned(self):
         # A manifest written by an older esckit must keep parsing to its run.
@@ -303,7 +312,8 @@ class TestCli:
         assert "stretch_range" in capsys.readouterr().err
         assert not (tmp_path / "cache.lgt").exists()
 
-    @pytest.mark.parametrize("line", BAD_RUN_SETTINGS)
+    # input_bands = 64 parses; only the cache's 128 x 128 segments rule it out
+    @pytest.mark.parametrize("line", BAD_RUN_SETTINGS + ["model.input_bands = 64"])
     def test_malformed_run_setting_exits_1_before_reading_the_cache(self, tmp_path, capsys, line):
         config_path = tmp_path / "run.cfg"
         config_path.write_text(f"data.cache = {tmp_path / 'missing.lgt'}\n{line}\n")

@@ -201,6 +201,20 @@ class TestFoldSplit:
 
 
 class TestCrossValidate:
+    def test_train_on_fold_k_writes_fold_k_of_cv(self, tmp_path):
+        dataset = make_segment_dataset(n_clips=10, augmented_copies=1)
+        config = quick_train_config(
+            epochs=2, seed=4, augmentation=AugmentConfig(copies_per_clip=1, mixup_enabled=True))
+        ev.cross_validate(dataset, config, tiny_model_config(), out_dir=tmp_path / "cv")
+        train(dataset, config, tiny_model_config(), held_out_fold=3, out_dir=tmp_path / "train")
+        for name in ("ckpt_final", "ckpt_best"):
+            assert (tmp_path / "train" / name).read_bytes() == \
+                   (tmp_path / "cv" / "fold3" / name).read_bytes(), name
+        # every history column except physical wall-clock time matches
+        strip = lambda path: [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+        assert strip(tmp_path / "train" / "history.csv") == \
+               strip(tmp_path / "cv" / "fold3" / "history.csv")
+
     def test_protocol_structure(self, tmp_path):
         dataset = make_segment_dataset(n_clips=25, segs_per_clip=1, augmented_copies=1)
         config = quick_train_config(

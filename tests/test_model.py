@@ -52,6 +52,40 @@ class TestBuild:
         with pytest.raises(ValueError):
             acrnn.ACRNNConfig(attention_placement="l3")
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("form", ["mlp", "linear"])
+    @pytest.mark.parametrize("placement", acrnn.PLACEMENTS)
+    def test_weights_are_one_seeded_stream_and_the_rest_starts_fixed(self, placement, form,
+                                                                     dtype):
+        config = tiny_config(attention_placement=placement, rnn_attention_form=form)
+        params = acrnn.build(config, seed=11, dtype=dtype)
+        fixed = [name for name in params.tensors
+                 if name.endswith((".b", ".b1", ".bias", ".gamma", ".beta"))]
+        assert sorted(params.weight_names) == sorted(set(params.tensors) - set(fixed))
+        rng = np.random.default_rng(11)
+        for name in params.weight_names:
+            data = params.tensors[name].data
+            want = rng.normal(0.0, acrnn.INIT_STD, data.shape).astype(dtype)
+            assert data.dtype == dtype and data.tobytes() == want.tobytes(), name
+        for name in fixed:
+            start = 1.0 if name.endswith(".gamma") else 0.0
+            assert np.all(params.tensors[name].data == start), name
+        for state in params.bn.values():
+            assert np.all(state.running_mean == 0.0) and np.all(state.running_var == 1.0)
+
+    def test_input_accepted_exactly_when_every_pool_window_fits(self):
+        # bands pool by 4, 4, 1, 2 and frames by 3, 1, 3, 2: 32 x 18 is the smallest input
+        sizes = [(bands, 32) for bands in range(40)] + [(32, frames) for frames in range(24)]
+        for bands, frames in sizes:
+            if bands < 32 or frames < 18:
+                with pytest.raises(ValueError, match="input_bands" if bands < 32
+                                   else "input_frames"):
+                    tiny_config(input_bands=bands, input_frames=frames)
+                continue
+            params = acrnn.build(tiny_config(input_bands=bands, input_frames=frames), seed=0)
+            probs = acrnn.forward(params, np.ones((1, bands, frames, 2), np.float32)).data
+            assert probs.shape == (1, 3), (bands, frames)
+
 
 class TestForward:
     def test_rows_sum_to_one(self):

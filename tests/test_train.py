@@ -108,16 +108,14 @@ class TestSgdNesterovStep:
 
 class TestInitWeights:
     def test_gaussian_statistics(self):
-        params = acrnn.build(acrnn.ACRNNConfig(num_classes=50), seed=0)
-        acrnn.randomize_weights(params, seed=123)
+        params = acrnn.build(acrnn.ACRNNConfig(num_classes=50), seed=123)
         w = params.tensors["gru1.fw.w_x"].data  # 1024 x 768 entries
         assert w.size >= 10_000
         assert abs(w.mean()) < 0.002
         assert 0.0475 <= w.std() <= 0.0525
 
     def test_biases_exactly_zero(self):
-        params = acrnn.build(tiny_model_config(), seed=0)
-        acrnn.randomize_weights(params, seed=9)
+        params = acrnn.build(tiny_model_config(), seed=9)
         for name, tensor in params.tensors.items():
             if name.endswith(".bias") or name.endswith(".b") or name.endswith(".b1"):
                 assert np.all(tensor.data == 0.0), name
