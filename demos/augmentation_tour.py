@@ -30,19 +30,24 @@ for semis in (-3.5, 0.0, 3.5):
     print(f"  {semis:+.1f} st: {out.samples.size} samples, peak {peak_hz(out):.0f} Hz "
           f"(target {440 * 2 ** (semis / 12):.0f} Hz)")
 
-print("\nmixup (convex combination of two feature/label pairs):")
+print("\nmixup (mix_batch: each row takes a random partner row and a Beta(alpha, alpha) weight):")
+labels = np.array([2, 7, 4, 9])
 rng = np.random.default_rng(0)
-seg_a = ft.LogGTSegment(values=rng.standard_normal((128, 128, 2)).astype(np.float32),
-                        clip_id="a", segment_index=0, label=2, fold=1)
-seg_b = ft.LogGTSegment(values=rng.standard_normal((128, 128, 2)).astype(np.float32),
-                        clip_id="b", segment_index=0, label=7, fold=1)
-onehot = np.eye(10, dtype=np.float32)
-for lam in (1.0, 0.7, 0.0):
-    mixed, label = aug.mixup(seg_a, onehot[2], seg_b, onehot[7], lam)
-    tops = {i: round(float(v), 2) for i, v in enumerate(label) if v > 0}
-    print(f"  lambda {lam}: label mass {tops} (sum {label.sum():.4f})")
+xb = rng.standard_normal((4, 128, 128, 2)).astype(np.float32)
+yb = np.eye(10, dtype=np.float32)[labels]
+aug.mix_batch(xb, yb, 0.2, np.random.default_rng(1))
+for row, label in enumerate(yb):
+    tops = {i: v for i, v in enumerate(np.round(label.astype(float), 2).tolist()) if v > 0}
+    print(f"  row {row} (class {labels[row]}): label mass {tops} (sum {label.sum():.4f})")
 
-draws = np.array([aug.sample_lambda(0.2, rng) for _ in range(50_000)])
-print(f"\nBeta(0.2, 0.2) draws: mean {draws.mean():.3f}, "
-      f"{100 * np.mean((draws < 0.1) | (draws > 0.9)):.0f}% near the endpoints "
+# With identity labels, row i keeps its weight at column i (a row paired with
+# itself, about one in a thousand, reads 1).
+weights = []
+for seed in range(50):
+    yb = np.eye(1000, dtype=np.float32)
+    aug.mix_batch(np.zeros((1000, 1), np.float32), yb, 0.2, np.random.default_rng(seed))
+    weights.append(np.diagonal(yb))
+weights = np.concatenate(weights)
+print(f"\nBeta(0.2, 0.2) weights over {weights.size} mixed rows: mean {weights.mean():.3f}, "
+      f"{100 * np.mean((weights < 0.1) | (weights > 0.9)):.0f}% near the endpoints "
       "(small alpha keeps most mixes mild)")

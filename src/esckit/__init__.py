@@ -7,7 +7,7 @@ with mixup/stretch/shift augmentation, and a 5-fold cross-validation harness.
 
 __version__ = "0.1.0"
 
-from .augment import AugmentConfig, mixup, pitch_shift, sample_lambda, time_stretch
+from .augment import AugmentConfig, mix_batch, pitch_shift, time_stretch
 from .autodiff import BatchNormState, ShapeError, Tensor
 from .data import SegmentDataset
 from .evaluate import (
@@ -29,6 +29,6 @@ __all__ = [
     "TrainConfig", "TrainHistory", "WaveClip", "ablate", "apply_norm",
     "build", "build_gammatone_filterbank", "compute_norm_stats", "confusion_matrix",
     "cross_validate", "delta", "extract_segments", "forward", "log_gt", "lr_schedule",
-    "mixup", "normalize", "pitch_shift", "predict_clip", "predict_clips", "sample_lambda",
+    "mix_batch", "normalize", "pitch_shift", "predict_clip", "predict_clips",
     "segment", "sgd_nesterov_step", "shape_trace", "stft_power", "time_stretch",
 ]

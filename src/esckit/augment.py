@@ -10,8 +10,9 @@ vocoder's wrapped phase advance mod 2 pi (see _stretch), so no angle or
 complex exponential is evaluated per output bin (Laroche & Dolson 1999).
 The analysis STFT and the resynthesis run in blocks of 64 frames whose arrays
 stay in cache; they return the same values as whole-clip passes would.
-Mixup forms convex combinations of feature/label pairs with a
-Beta(alpha, alpha) weight.
+Mixup is mix_batch: each row of a training batch draws one partner row and
+one Beta(alpha, alpha) weight, and becomes the convex combination of the two
+feature arrays and of the two one-hot labels.
 
 A stretch rate above 1 plays faster, i.e. shortens the clip to ~N/rate
 samples.
@@ -197,10 +198,33 @@ def pitch_shift(clip, semitones, valid_range=(-3.5, 3.5)):
     return replace(clip, samples=_shift(_analyse(clip), n, semitones, valid_range))
 
 
+def mix_batch(xb, yb, alpha, rng):
+    """Mixup each row of a batch in place with a random partner row.
+
+    Draws every partner index first, then one Beta(alpha, alpha) weight per
+    row, and mixes lam*row + (1-lam)*partner in float32. Each array's partner
+    rows are gathered before it is written, so a row is never mixed with a
+    row that was already mixed.
+    """
+    if alpha <= 0.0:
+        raise ValueError(f"mixup alpha must be positive, got {alpha}")
+    n = len(xb)
+    partners = rng.integers(0, n, size=n)
+    lam = rng.beta(alpha, alpha, size=n).astype(np.float32)
+    for batch in (xb, yb):
+        w = lam.reshape((n,) + (1,) * (batch.ndim - 1))
+        partner = batch[partners]
+        partner *= 1 - w
+        batch *= w
+        batch += partner
+
+
 def mixup_arrays(x_i, y_i, x_j, y_j, lam):
     """Convex combination of two feature/label arrays with weight lam.
 
     lam = 1 returns (x_i, y_i) and lam = 0 returns (x_j, y_j) bitwise.
+    Reference only: no training step calls it. It is the per-pair form that
+    mix_batch is tested against, row by row and bit for bit.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixup lambda must be in [0, 1], got {lam}")
@@ -214,20 +238,6 @@ def mixup_arrays(x_i, y_i, x_j, y_j, lam):
         return x_j.copy(), y_j.copy()
     lam = np.float32(lam)
     return (lam * x_i + (1 - lam) * x_j).astype(x_i.dtype), lam * y_i + (1 - lam) * y_j
-
-
-def mixup(seg_i, y_i, seg_j, y_j, lam):
-    """Mixup on two feature segments; the result keeps seg_i's provenance."""
-    values, label = mixup_arrays(seg_i.values, np.asarray(y_i, dtype=np.float32),
-                                 seg_j.values, np.asarray(y_j, dtype=np.float32), lam)
-    return replace(seg_i, values=values), label
-
-
-def sample_lambda(alpha, rng):
-    """One Beta(alpha, alpha) mixing weight."""
-    if alpha <= 0.0:
-        raise ValueError(f"mixup alpha must be positive, got {alpha}")
-    return float(rng.beta(alpha, alpha))
 
 
 def augment_clip(clip, config, rng):

@@ -128,7 +128,12 @@ def _read_container(path, magic, versions, read_header, error, record_shape=None
                 store = np.empty((count, *record_shape), dtype="<f4")
             for i in range(count):
                 (name_len,) = struct.unpack("<H", read(2))
-                name = read(name_len).decode("utf-8")
+                raw = read(name_len)
+                try:
+                    name = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise error(f"record {i} name at byte {fh.tell() - name_len} is not "
+                                f"UTF-8: {exc.reason}") from exc
                 header, shape = read_header(read, version)
                 nbytes = 4 * math.prod(shape)
                 if nbytes > size - fh.tell():

@@ -91,8 +91,6 @@ def parse_config(text):
     seed = values["run"].get("seed", RunConfig.seed)
     values["train"].setdefault("seed", seed)
     values["augment"].setdefault("rng_seed", seed)
-    if channels := values["model"].get("conv_channels"):
-        values["model"]["conv_channels"] = tuple(int(c) for c in channels)
     try:
         train = TrainConfig(augmentation=AugmentConfig(**values["augment"]), **values["train"])
         return RunConfig(train=train, model=ACRNNConfig(**values["model"]), **values["data"],

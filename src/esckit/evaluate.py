@@ -109,12 +109,15 @@ def cross_validate(dataset, train_config, model_config, out_dir=None):
     """Train once per fold on the remaining folds and evaluate the held-out one.
 
     Every fold's ``split_fold`` is checked before the first one trains: a clip
-    tagged with two folds or a fold with no raw clip fails at once. Normalization
-    statistics and augmented segments come from the training folds only, which
-    ``train`` asserts. Each fold is scored by the predictions of its last
-    training epoch, which ``train`` makes with the final parameters.
+    tagged with two folds, a fold with no raw clip or a dataset with no fold
+    fails at once. Normalization statistics and augmented segments come from
+    the training folds only, which ``train`` asserts. Each fold is scored by the
+    predictions of its last training epoch, which ``train`` makes with the
+    final parameters.
     """
     folds = sorted({s.fold for s in dataset.segments})
+    if not folds:
+        raise ValueError("dataset has no segments, so no fold to cross-validate")
     for fold in folds:
         if not split_fold(dataset, fold)[1]:
             raise ValueError(f"fold {fold} has zero clips")

@@ -48,6 +48,11 @@ class ACRNNConfig:
                              f"got {self.rnn_attention_form!r}")
         if len(self.conv_channels) != 8:
             raise ValueError(f"conv_channels needs 8 entries, got {len(self.conv_channels)}")
+        if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in self.conv_channels):
+            raise ValueError(f"conv_channels must be integers >= 1, got {self.conv_channels}")
+        for name in ("num_classes", "gru_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.dropout_p < 1:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         self.conv_output_dims()

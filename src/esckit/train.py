@@ -2,12 +2,12 @@
 
 The protocol: batches of 64 segments drawn by a fresh shuffle each epoch
 (every training segment at most once per epoch, last partial batch kept),
-cross-entropy on softmax outputs with optional mixup at batch assembly,
-coupled L2 weight decay on weight tensors only, and a step learning-rate
-schedule that divides by 10 every 100 epochs. Normalization statistics come
-from the training folds alone; the held-out fold never contributes a
-gradient, an augmented copy, or a statistic, and this is asserted every
-epoch. ``split_fold`` is the one place the fold rule lives: ``train``,
+cross-entropy on softmax outputs with optional mixup at batch assembly (from
+``augment.mix_batch``), coupled L2 weight decay on weight tensors only, and a
+step learning-rate schedule that divides by 10 every 100 epochs. Normalization
+statistics come from the training folds alone; the held-out fold never
+contributes a gradient, an augmented copy, or a statistic, and this is asserted
+every epoch. ``split_fold`` is the one place the fold rule lives: ``train``,
 ``evaluate.evaluate_fold``, ``evaluate.cross_validate`` and the CLI's
 ``eval`` all take their held-out split from it, so a clip tagged with two
 folds is the same ``LeakageError`` (a validation error, CLI exit 1) for each.
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as acrnn
-from .augment import AugmentConfig
+from .augment import AugmentConfig, mix_batch
 from .cachefile import save_checkpoint, write_csv
 from .data import one_hot
 from .features import compute_norm_stats, normalize
@@ -139,27 +139,6 @@ def sgd_nesterov_step(params, state, lr, momentum=0.9, l2_coeff=1e-4):
 def _zero_grads(params):
     for tensor in params.tensors.values():
         tensor.grad = None
-
-
-def mix_batch(xb, yb, alpha, rng):
-    """Mixup each row of a batch in place with a random partner row.
-
-    Draws every partner index first, then one Beta(alpha, alpha) weight per
-    row, and mixes lam*row + (1-lam)*partner in float32. Each array's partner
-    rows are gathered before it is written, so a row is never mixed with a
-    row that was already mixed.
-    """
-    if alpha <= 0.0:
-        raise ValueError(f"mixup alpha must be positive, got {alpha}")
-    n = len(xb)
-    partners = rng.integers(0, n, size=n)
-    lam = rng.beta(alpha, alpha, size=n).astype(np.float32)
-    for batch in (xb, yb):
-        w = lam.reshape((n,) + (1,) * (batch.ndim - 1))
-        partner = batch[partners]
-        partner *= 1 - w
-        batch *= w
-        batch += partner
 
 
 def split_fold(dataset, fold, copies_per_clip=0):

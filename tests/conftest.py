@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from esckit.augment import mix_batch
 from esckit.autodiff import Tensor
 from esckit.data import SegmentDataset
 from esckit.features import LogGTSegment
@@ -29,6 +30,27 @@ def make_segment_dataset(n_clips=20, num_classes=2, n_folds=5, segs_per_clip=2,
                                          label=label, fold=fold, augmented=True))
     names = {i: f"class{i}" for i in range(num_classes)}
     return SegmentDataset(segments=segments, num_classes=num_classes, class_names=names)
+
+
+def applied_mix_weights(alpha, seed, n=1000):
+    """The Beta(alpha, alpha) weights mix_batch applies to an n-row batch.
+
+    With the identity as the label matrix, row i keeps its weight at column i
+    whenever its partner is another row. The partners are replayed from the
+    seed (mix_batch draws them first), and rows paired with themselves are
+    dropped.
+    """
+    y = np.eye(n, dtype=np.float32)
+    mix_batch(np.zeros((n, 1), np.float32), y, alpha, np.random.default_rng(seed))
+    partners = np.random.default_rng(seed).integers(0, n, size=n)
+    return np.diagonal(y)[partners != np.arange(n)]
+
+
+def ks_uniform(draws):
+    """Kolmogorov-Smirnov statistic of draws against Uniform(0, 1)."""
+    draws = np.sort(draws)
+    n = draws.size
+    return max(np.max(np.arange(1, n + 1) / n - draws), np.max(draws - np.arange(n) / n))
 
 
 def tiny_model_config(**kw):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import tiny_model_config
+from conftest import applied_mix_weights, ks_uniform, tiny_model_config
 from esckit import augment as aug
 from esckit import cli
 from esckit import evaluate as ev
@@ -134,30 +134,40 @@ def test_criterion_3_attention_normalization():
           "within 1e-6; Tseq=1 returns h_1 exactly")
 
 
+class FixedDraws:
+    """An rng stand-in for mix_batch: fixed partners and one weight for every row."""
+
+    def __init__(self, partners, weight):
+        self.partners, self.weight = partners, weight
+
+    def integers(self, low, high, size):
+        return self.partners
+
+    def beta(self, a, b, size):
+        return np.full(size, self.weight)
+
+
 def test_criterion_4_mixup_contract():
     rng = np.random.default_rng(3)
-    seg_a = ft.LogGTSegment(values=rng.standard_normal((128, 128, 2)).astype(np.float32),
-                            clip_id="a", segment_index=0, label=1, fold=1)
-    seg_b = ft.LogGTSegment(values=rng.standard_normal((128, 128, 2)).astype(np.float32),
-                            clip_id="b", segment_index=0, label=3, fold=2)
-    onehot = np.eye(5, dtype=np.float32)
-    mixed, label = aug.mixup(seg_a, onehot[1], seg_b, onehot[3], 1.0)
-    assert mixed.values.tobytes() == seg_a.values.tobytes()
-    assert label.tobytes() == onehot[1].tobytes()
-    mixed, label = aug.mixup(seg_a, onehot[1], seg_b, onehot[3], 0.0)
-    assert mixed.values.tobytes() == seg_b.values.tobytes()
-    assert label.tobytes() == onehot[3].tobytes()
+    x = rng.standard_normal((6, 128, 128, 2)).astype(np.float32)
+    y = np.eye(5, dtype=np.float32)[[1, 3, 0, 4, 2, 1]]
+    partners = np.array([1, 2, 3, 4, 5, 0])
+    for weight, want in ((1.0, np.arange(6)), (0.0, partners)):
+        xb, yb = x.copy(), y.copy()
+        aug.mix_batch(xb, yb, 0.2, FixedDraws(partners, weight))
+        assert xb.tobytes() == x[want].tobytes() and yb.tobytes() == y[want].tobytes()
 
     for _ in range(100):
-        _, label = aug.mixup(seg_a, onehot[1], seg_b, onehot[3], float(rng.uniform()))
-        assert abs(label.sum() - 1.0) <= 1e-6 and np.all(label >= 0.0)
+        yb = np.eye(5, dtype=np.float32)[rng.integers(0, 5, size=64)]
+        aug.mix_batch(rng.standard_normal((64, 4, 4, 2)).astype(np.float32), yb, 0.2, rng)
+        assert np.all(np.abs(yb.sum(axis=1) - 1.0) <= 1e-6) and np.all(yb >= 0.0)
 
-    draws = np.sort([aug.sample_lambda(1.0, rng) for _ in range(100_000)])
-    n = draws.size
-    ks = max(np.max(np.arange(1, n + 1) / n - draws), np.max(draws - np.arange(n) / n))
+    weights = np.concatenate([applied_mix_weights(1.0, seed) for seed in range(100)])
+    assert weights.size >= 90_000
+    ks = ks_uniform(weights)
     assert ks < 0.01
-    print(f"\n[criterion 4] PASS - endpoints bitwise, labels on the simplex, "
-          f"KS statistic {ks:.4f} < 0.01")
+    print(f"\n[criterion 4] PASS - mix_batch endpoints bitwise, labels on the simplex, "
+          f"KS statistic {ks:.4f} < 0.01 over {weights.size} applied Beta(1, 1) weights")
 
 
 def test_criterion_5_dsp_oracles():

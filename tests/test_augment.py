@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import applied_mix_weights, ks_uniform
 from esckit import augment as aug
 from esckit import features as ft
 
@@ -366,81 +367,80 @@ class TestPitchShift:
 
 
 class TestMixup:
-    def _segments(self):
+    def _pair(self):
         rng = np.random.default_rng(0)
-        seg_i = ft.LogGTSegment(values=rng.standard_normal((128, 128, 2)).astype(np.float32),
-                                clip_id="a", segment_index=0, label=2, fold=1)
-        seg_j = ft.LogGTSegment(values=rng.standard_normal((128, 128, 2)).astype(np.float32),
-                                clip_id="b", segment_index=0, label=7, fold=2)
+        x_i = rng.standard_normal((128, 128, 2)).astype(np.float32)
+        x_j = rng.standard_normal((128, 128, 2)).astype(np.float32)
         onehot = np.eye(10, dtype=np.float32)
-        return seg_i, onehot[2], seg_j, onehot[7]
+        return x_i, onehot[2], x_j, onehot[7]
 
     def test_lambda_one_returns_first_bitwise(self):
-        seg_i, y_i, seg_j, y_j = self._segments()
-        mixed, label = aug.mixup(seg_i, y_i, seg_j, y_j, 1.0)
-        assert mixed.values.tobytes() == seg_i.values.tobytes()
+        x_i, y_i, x_j, y_j = self._pair()
+        mixed, label = aug.mixup_arrays(x_i, y_i, x_j, y_j, 1.0)
+        assert mixed.tobytes() == x_i.tobytes()
         assert label.tobytes() == y_i.tobytes()
 
     def test_lambda_zero_returns_second_bitwise(self):
-        seg_i, y_i, seg_j, y_j = self._segments()
-        mixed, label = aug.mixup(seg_i, y_i, seg_j, y_j, 0.0)
-        assert mixed.values.tobytes() == seg_j.values.tobytes()
+        x_i, y_i, x_j, y_j = self._pair()
+        mixed, label = aug.mixup_arrays(x_i, y_i, x_j, y_j, 0.0)
+        assert mixed.tobytes() == x_j.tobytes()
         assert label.tobytes() == y_j.tobytes()
 
     def test_half_mix_of_onehots(self):
-        seg_i, y_i, seg_j, y_j = self._segments()
-        _, label = aug.mixup(seg_i, y_i, seg_j, y_j, 0.5)
+        x_i, y_i, x_j, y_j = self._pair()
+        _, label = aug.mixup_arrays(x_i, y_i, x_j, y_j, 0.5)
         assert label[2] == pytest.approx(0.5) and label[7] == pytest.approx(0.5)
         assert label.sum() == pytest.approx(1.0)
 
     def test_convexity_bounds_and_simplex(self):
-        seg_i, y_i, seg_j, y_j = self._segments()
+        x_i, y_i, x_j, y_j = self._pair()
         rng = np.random.default_rng(1)
+        lo, hi = np.minimum(x_i, x_j), np.maximum(x_i, x_j)
         for _ in range(20):
-            lam = float(rng.uniform())
-            mixed, label = aug.mixup(seg_i, y_i, seg_j, y_j, lam)
-            lo = np.minimum(seg_i.values, seg_j.values)
-            hi = np.maximum(seg_i.values, seg_j.values)
-            assert np.all(mixed.values >= lo - 1e-6) and np.all(mixed.values <= hi + 1e-6)
+            mixed, label = aug.mixup_arrays(x_i, y_i, x_j, y_j, float(rng.uniform()))
+            assert np.all(mixed >= lo - 1e-6) and np.all(mixed <= hi + 1e-6)
             assert abs(label.sum() - 1.0) <= 1e-6
 
     def test_shape_mismatch_raises(self):
-        seg_i, y_i, seg_j, y_j = self._segments()
-        bad = ft.LogGTSegment(values=np.zeros((64, 128, 2), np.float32), clip_id="c",
-                              segment_index=0, label=0, fold=1)
+        x_i, y_i, _, y_j = self._pair()
         with pytest.raises(ValueError):
-            aug.mixup(seg_i, y_i, bad, y_j, 0.5)
+            aug.mixup_arrays(x_i, y_i, np.zeros((64, 128, 2), np.float32), y_j, 0.5)
 
     def test_lambda_out_of_range_raises(self):
-        seg_i, y_i, seg_j, y_j = self._segments()
+        x_i, y_i, x_j, y_j = self._pair()
         with pytest.raises(ValueError):
-            aug.mixup(seg_i, y_i, seg_j, y_j, 1.5)
+            aug.mixup_arrays(x_i, y_i, x_j, y_j, 1.5)
 
 
-class TestSampleLambda:
+class TestMixBatchWeights:
     def test_mean_is_half(self):
         for alpha in (0.2, 1.0, 5.0):
-            rng = np.random.default_rng(2)
-            draws = np.array([aug.sample_lambda(alpha, rng) for _ in range(100_000)])
-            assert abs(draws.mean() - 0.5) < 0.01
+            weights = np.concatenate([applied_mix_weights(alpha, seed) for seed in range(100)])
+            assert abs(weights.mean() - 0.5) < 0.01
 
     def test_alpha_one_is_uniform_ks(self):
-        rng = np.random.default_rng(3)
-        draws = np.sort([aug.sample_lambda(1.0, rng) for _ in range(100_000)])
-        n = draws.size
-        ks = max(np.max(np.arange(1, n + 1) / n - draws), np.max(draws - np.arange(n) / n))
-        assert ks < 0.01
+        weights = np.concatenate([applied_mix_weights(1.0, seed) for seed in range(100, 200)])
+        assert ks_uniform(weights) < 0.01
 
     def test_seeded_reproducibility(self):
-        a = [aug.sample_lambda(0.2, np.random.default_rng(4)) for _ in range(5)]
-        b = [aug.sample_lambda(0.2, np.random.default_rng(4)) for _ in range(5)]
-        seq_a = [aug.sample_lambda(0.2, rng) for rng in [np.random.default_rng(5)] for _ in range(3)]
-        seq_b = [aug.sample_lambda(0.2, rng) for rng in [np.random.default_rng(5)] for _ in range(3)]
-        assert a == b and seq_a == seq_b
+        def three_batches(seed):
+            rng = np.random.default_rng(seed)
+            out = []
+            for _ in range(3):
+                xb = np.arange(16, dtype=np.float32).reshape(8, 2)
+                yb = np.eye(8, dtype=np.float32)
+                aug.mix_batch(xb, yb, 0.2, rng)
+                out.append(xb.tobytes() + yb.tobytes())
+            return out
+
+        a, b = three_batches(4), three_batches(4)
+        assert a == b and len(set(a)) == 3
 
     def test_bad_alpha_raises(self):
-        with pytest.raises(ValueError):
-            aug.sample_lambda(0.0, np.random.default_rng(0))
+        for alpha in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                aug.mix_batch(np.zeros((4, 2), np.float32), np.eye(4, dtype=np.float32),
+                              alpha, np.random.default_rng(0))
 
 
 def test_augment_clip_copies_and_reproducibility():

@@ -65,6 +65,23 @@ class TestByteLayout:
         with pytest.raises(cf.CheckpointFormatError, match="truncated"):
             cf.read_checkpoint(path)
 
+    @pytest.mark.parametrize("write, read, error", [
+        (lambda p: cf.save_checkpoint(p, {"w": np.ones(3)}), cf.read_checkpoint,
+         cf.CheckpointFormatError),
+        (lambda p: cf.write_cache(p, [LogGTSegment(values=np.zeros((128, 128, 2), np.float32),
+                                                   clip_id="a.wav", segment_index=0, label=0,
+                                                   fold=1)]),
+         cf.read_cache, cf.CacheFormatError),
+    ], ids=["checkpoint", "cache"])
+    def test_name_that_is_not_utf8_is_a_format_error(self, tmp_path, write, read, error):
+        path = tmp_path / "f"
+        write(path)
+        blob = bytearray(path.read_bytes())
+        blob[14] = 0xFF  # magic, version, count, name length, then the first name byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(error, match="record 0 name at byte 14 is not UTF-8"):
+            read(path)
+
 
 def _torn_open(real_open, fail_at=1):
     """An ``open`` that, for writing, passes the first ``fail_at - 1`` writes

@@ -141,6 +141,12 @@ model.conv_channels = 2,2,3,3,4,4,5,5
         "train.lr_decay_factor = -10",
         "model.dropout_p = 1",
         "model.dropout_p = -0.1",
+        "model.num_classes = 0",
+        "model.gru_hidden = 0",
+        "model.gru_hidden = -1",
+        "model.conv_channels = 0,2,3,3,4,4,5,5",
+        "model.conv_channels = 2.5,2,3,3,4,4,5,5",
+        "model.conv_channels = 1e1,2,3,3,4,4,5,5",
     ])
     def test_malformed_run_setting_rejected(self, line):
         with pytest.raises(cfg.ConfigError, match=line.split(" = ")[0].split(".")[1]):
@@ -342,6 +348,15 @@ class TestCli:
             err = capsys.readouterr().err
             assert err == "error: clip 'clip1.wav' appears in folds 2 and 1\n", argv[0]
         assert not (tmp_path / "eval.csv").exists()
+
+    def test_cv_and_ablate_on_an_empty_cache_exit_1(self, tmp_path, capsys):
+        config_path = build_audio_tree(tmp_path)
+        write_cache(tmp_path / "cache.lgt", [])
+        report = tmp_path / "ablate.csv"
+        for argv in (["cv"], ["ablate", "--placements", "none", "--report", str(report)]):
+            assert cli.main(argv + ["--config", str(config_path)]) == 1, argv[0]
+            assert "no fold" in capsys.readouterr().err, argv[0]
+        assert not (tmp_path / "out" / "report.csv").exists() and not report.exists()
 
     def test_bad_cache_is_validation_error(self, tmp_path):
         config_path = build_audio_tree(tmp_path)

@@ -243,6 +243,14 @@ class TestCrossValidate:
             ev.cross_validate(dataset, quick_train_config(), tiny_model_config())
         assert calls == []
 
+    def test_dataset_without_folds_rejected_before_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ev, "train", lambda *a, **kw: calls.append(a))
+        empty = SegmentDataset(segments=[], num_classes=2, class_names={0: "a", 1: "b"})
+        with pytest.raises(ValueError, match="no fold"):
+            ev.cross_validate(empty, quick_train_config(), tiny_model_config())
+        assert calls == []
+
     def test_fold_scores_are_the_final_parameters_evaluation(self):
         dataset = make_segment_dataset(n_clips=20, augmented_copies=1)
         config = quick_train_config(

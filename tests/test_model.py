@@ -52,6 +52,25 @@ class TestBuild:
         with pytest.raises(ValueError):
             acrnn.ACRNNConfig(attention_placement="l3")
 
+    @pytest.mark.parametrize("name, value", [
+        ("num_classes", 0),
+        ("gru_hidden", 0),
+        ("gru_hidden", -1),
+        ("conv_channels", (0, 2, 3, 3, 4, 4, 5, 5)),
+        ("conv_channels", (2, 2, 3, 3, 4, 4, 5, -5)),
+        ("conv_channels", (2.5, 2, 3, 3, 4, 4, 5, 5)),
+        ("conv_channels", (10.0, 2, 3, 3, 4, 4, 5, 5)),
+    ])
+    def test_width_that_cannot_run_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            tiny_config(**{name: value})
+
+    def test_numpy_integer_widths_accepted(self):
+        channels = tuple(np.array([2, 2, 3, 3, 4, 4, 5, 5]))
+        assert isinstance(channels[0], np.integer)
+        params = acrnn.build(tiny_config(conv_channels=channels), seed=0)
+        assert params.tensors["conv8.kernel"].shape[-1] == 5
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("form", ["mlp", "linear"])
     @pytest.mark.parametrize("placement", acrnn.PLACEMENTS)

@@ -12,7 +12,7 @@ from conftest import make_segment_dataset, record_handed_grads, tiny_model_confi
 from esckit import autodiff as ad
 from esckit import model as acrnn
 from esckit import train as tr
-from esckit.augment import AugmentConfig, mixup_arrays, sample_lambda
+from esckit.augment import AugmentConfig, mix_batch, mixup_arrays
 from esckit.autodiff import Tensor
 from esckit.data import one_hot
 
@@ -208,10 +208,10 @@ def test_mix_batch_draws_partners_from_the_unmixed_batch():
     x = rng.standard_normal((8, 3, 2, 2)).astype(np.float32)
     y = one_hot(np.arange(8) % 3, 3)
     xb, yb = x.copy(), y.copy()
-    tr.mix_batch(xb, yb, 0.2, np.random.default_rng(5))
+    mix_batch(xb, yb, 0.2, np.random.default_rng(5))
     replay = np.random.default_rng(5)  # same draw order: partners, then one lambda per row
     partners = replay.integers(0, 8, size=8)
-    lams = [sample_lambda(0.2, replay) for _ in range(8)]
+    lams = replay.beta(0.2, 0.2, size=8)
     # the draw must pair some row with a row mixed before it, or the test shows nothing
     assert any(j < row and 0.0 < lams[j] < 1.0 for row, j in enumerate(partners))
     for row, (j, lam) in enumerate(zip(partners, lams)):
@@ -227,14 +227,14 @@ def test_mix_batch_equals_the_per_row_mixup_bitwise():
         y = one_hot(rng.integers(0, 5, size=16), 5)
         xb, yb = x.copy(), y.copy()
         seed = int(rng.integers(1 << 30))
-        tr.mix_batch(xb, yb, 0.2, np.random.default_rng(seed))
+        mix_batch(xb, yb, 0.2, np.random.default_rng(seed))
         replay = np.random.default_rng(seed)
         partners = replay.integers(0, 16, size=16)
-        for row, j in enumerate(partners):
-            want_x, want_y = mixup_arrays(x[row], y[row], x[j], y[j], sample_lambda(0.2, replay))
+        for row, (j, lam) in enumerate(zip(partners, replay.beta(0.2, 0.2, size=16))):
+            want_x, want_y = mixup_arrays(x[row], y[row], x[j], y[j], float(lam))
             assert xb[row].tobytes() == want_x.tobytes() and yb[row].tobytes() == want_y.tobytes()
     with pytest.raises(ValueError):
-        tr.mix_batch(xb, yb, 0.0, np.random.default_rng(0))
+        mix_batch(xb, yb, 0.0, np.random.default_rng(0))
 
 
 class TestEpochBatches:
