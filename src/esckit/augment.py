@@ -48,6 +48,8 @@ class AugmentConfig:
             raise ValueError(f"stretch_range must be positive, got {self.stretch_range!r}")
         if self.copies_per_clip < 0:
             raise ValueError(f"copies_per_clip must be >= 0, got {self.copies_per_clip}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.mixup_enabled and not self.mixup_alpha > 0:
             raise ValueError(f"mixup_alpha must be > 0 while mixup_enabled, "
                              f"got {self.mixup_alpha}")

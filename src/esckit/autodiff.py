@@ -153,32 +153,6 @@ class Tensor:
             if node._prev:
                 node.grad = None
 
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(as_tensor(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(as_tensor(other), mul(self, -1.0))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __getitem__(self, idx):
-        return tensor_slice(self, idx)
-
 
 def as_tensor(x, dtype=None):
     return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
@@ -512,23 +486,19 @@ class _ConvLayout:
         return out[:self.rows].reshape(n, self.fp, self.tp, w.shape[3])
 
     def out_rows(self, dtype):
-        """Uninitialised (lead + rows + tail, cout) rows, as ``grad_rows``."""
+        """Uninitialised (lead + rows + tail, cout) rows: the output-gradient
+        rows once ``_frame(rows, lead, 0, 0)`` has zeroed all but the
+        (n, f, t, cout) "same" output block, which the caller writes."""
         return np.empty((self.lead + self.rows + self.tail, self.kernel_shape[3]), dtype=dtype)
-
-    def grad_rows(self, dtype):
-        """Output-gradient rows, zero but for the (n, f, t, cout) "same"
-        output block of their grid, and that block's view, for the caller
-        to write."""
-        grows = self.out_rows(dtype)
-        return grows, self._frame(grows, self.lead, 0, 0)
 
     def backward(self, x, kernel, xrows, grows):
         """Accumulate the kernel and input gradients from the output gradient
-        that grows holds, laid out as ``grad_rows`` lays it out. The kernel gradient is the per-band GEMMs of
-        the input views against the output gradient, folded back along the
-        band diagonals; the input gradient is the correlation of the
-        gradient rows with the flipped, channel-swapped kernel, written over
-        the padded input rows, which are dead by then, and taken by x as is."""
+        that grows holds, laid out as ``out_rows`` describes. The kernel
+        gradient is the per-band GEMMs of the input views against the output
+        gradient, folded back along the band diagonals; the input gradient is
+        the correlation of the gradient rows with the flipped, channel-swapped
+        kernel, written over the padded input rows, which are dead by then,
+        and taken by x as is."""
         n, f, t, cin = self.x_shape
         kf, _, _, cout = self.kernel_shape
         s, nb, count, w = self.s, self.nb, self.count, kernel.data
@@ -593,8 +563,8 @@ def conv2d(x, kernel):
 
     if out.requires_grad:
         def backward(g):
-            grows, gout = layout.grad_rows(g.dtype)
-            gout[...] = g
+            grows = layout.out_rows(g.dtype)
+            layout._frame(grows, layout.lead, 0, 0)[...] = g
             layout.backward(x, kernel, xrows, grows)
         out._backward = backward
     return out

@@ -13,6 +13,7 @@ import ctypes
 import glob
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -89,9 +90,10 @@ def _load_run_config(args):
         if getattr(args, flag, None):
             setattr(config, name, getattr(args, flag))
     if getattr(args, "seed", None) is not None:
+        # replace() reruns the sections' validation, which rejects a negative seed.
         config.seed = args.seed
-        config.train.seed = args.seed
-        config.train.augmentation.rng_seed = args.seed
+        config.train = replace(config.train, seed=args.seed,
+                               augmentation=replace(config.augment, rng_seed=args.seed))
     return config
 
 

@@ -32,6 +32,10 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     model: ACRNNConfig = field(default_factory=ACRNNConfig)
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
     @property
     def augment(self):
         return self.train.augmentation

@@ -141,6 +141,8 @@ def read_wav(path):
                                f"{bits}-bit) in fmt chunk at byte {fmt_off}")
     if channels not in (1, 2):
         raise AudioDecodeError(f"{path}: {channels} channels unsupported")
+    if rate == 0:
+        raise AudioDecodeError(f"{path}: 0 Hz sample rate in fmt chunk at byte {fmt_off}")
     data_off, data_size = chunks[b"data"]
     frame_bytes = channels * bits // 8
     if data_size % frame_bytes:

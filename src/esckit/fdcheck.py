@@ -105,7 +105,7 @@ def op_gradient_checks(seed=0):
     run("mean", lambda a: ad.tensor_sum(ad.mul(ad.tensor_mean(a, axis=0), p4)), x34)
     run("reshape", lambda a: ad.tensor_sum(ad.mul(ad.reshape(a, (2, 6)), p26)), x34)
     run("transpose", lambda a: ad.tensor_sum(ad.mul(ad.transpose(a, (1, 0)), p43)), x34)
-    run("slice", lambda a: ad.tensor_sum(ad.mul(a[1:, :2], p22)), x34)
+    run("slice", lambda a: ad.tensor_sum(ad.mul(ad.tensor_slice(a, np.s_[1:, :2]), p22)), x34)
     p38 = _projector((3, 8), rng)
     run("concat", lambda a, b: ad.tensor_sum(ad.mul(ad.concat([a, b], axis=1), p38)), x34, y34)
 

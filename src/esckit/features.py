@@ -41,6 +41,11 @@ class WaveClip:
     fold: int
     clip_id: str
 
+    def __post_init__(self):
+        if self.sample_rate != SAMPLE_RATE:
+            raise ValueError(f"clip {self.clip_id!r}: sample rate {self.sample_rate} Hz, "
+                             f"the features need {SAMPLE_RATE} Hz")
+
 
 @dataclass
 class LogGTSegment:

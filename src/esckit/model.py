@@ -218,7 +218,7 @@ def forward(params, x, mode="infer", rng=None, trace=None):
     if cfg.attention_placement == "l10":
         head = rnn_attention(h, params)
     else:
-        head = h[:, t - 1, :]
+        head = ad.tensor_slice(h, np.s_[:, t - 1, :])
     if trace is not None:
         trace.append(("head", head.shape[1:]))
     return ad.softmax(ad.dense(head, params.tensors["fc.weight"], params.tensors["fc.bias"]))
@@ -255,8 +255,8 @@ def load_state(params, arrays):
     for name, tensor in params.tensors.items():
         if arrays[name].shape != tensor.shape:
             raise CheckpointFormatError(f"{name}: shape {arrays[name].shape} != {tensor.shape}")
-        tensor.data = arrays[name].astype(tensor.dtype).copy()
+        tensor.data = arrays[name].astype(tensor.dtype)
         tensor.grad = None
     for name, state in params.bn.items():
-        state.running_mean = arrays[f"{name}.running_mean"].astype(state.running_mean.dtype).copy()
-        state.running_var = arrays[f"{name}.running_var"].astype(state.running_var.dtype).copy()
+        state.running_mean = arrays[f"{name}.running_mean"].astype(state.running_mean.dtype)
+        state.running_var = arrays[f"{name}.running_var"].astype(state.running_var.dtype)

@@ -60,6 +60,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not self.lr_decay_factor > 0:
             raise ValueError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

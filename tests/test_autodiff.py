@@ -307,22 +307,26 @@ class TestGRU:
 def _per_step_gru(x, params):
     """The bidirectional GRU composed of per-step add/matmul/sigmoid/tanh nodes,
     as the engine built it before each direction became one node."""
+    def cols(a, lo, hi=None):
+        return ad.tensor_slice(a, np.s_[:, lo:hi])
+
     def direction(steps, p):
         h = p.hidden
         state = Tensor(np.zeros((steps[0].shape[0], h), dtype=steps[0].dtype))
         outputs = []
         for x_t in steps:
             gx = ad.add(ad.matmul(x_t, p.w_x), p.b)
-            gh = ad.matmul(state, p.w_h[:, :2 * h])
-            z = ad.sigmoid(ad.add(gx[:, :h], gh[:, :h]))
-            r = ad.sigmoid(ad.add(gx[:, h:2 * h], gh[:, h:]))
-            cand = ad.tanh(ad.add(gx[:, 2 * h:], ad.matmul(ad.mul(r, state), p.w_h[:, 2 * h:])))
-            state = ad.add(ad.mul(1.0 - z, state), ad.mul(z, cand))
+            gh = ad.matmul(state, cols(p.w_h, 0, 2 * h))
+            z = ad.sigmoid(ad.add(cols(gx, 0, h), cols(gh, 0, h)))
+            r = ad.sigmoid(ad.add(cols(gx, h, 2 * h), cols(gh, h)))
+            cand = ad.tanh(ad.add(cols(gx, 2 * h),
+                                  ad.matmul(ad.mul(r, state), cols(p.w_h, 2 * h))))
+            state = ad.add(ad.mul(ad.add(1.0, ad.mul(z, -1.0)), state), ad.mul(z, cand))
             outputs.append(state)
         return outputs
 
     n, t_len, _ = x.shape
-    steps = [x[:, t, :] for t in range(t_len)]
+    steps = [ad.tensor_slice(x, np.s_[:, t, :]) for t in range(t_len)]
     fw = direction(steps, params.fw)
     bw = direction(steps[::-1], params.bw)[::-1]
     return ad.concat([ad.reshape(ad.concat([f, b], axis=1), (n, 1, -1)) for f, b in zip(fw, bw)],
@@ -830,11 +834,13 @@ class TestBackward:
 
 
 def test_python_scalars_keep_the_tensor_dtype():
+    assert Tensor(1.0).dtype == np.float32
     for dtype in (np.float32, np.float64):
         x = Tensor(np.array([0.5, -2.0], dtype=dtype), requires_grad=True)
-        for out in (x - 1.0, -x, 1.0 - x, x * 2, 3 + x):
+        for out in (ad.add(x, -1.0), ad.mul(x, -1.0), ad.add(1.0, ad.mul(x, -1.0)),
+                    ad.mul(x, 2), ad.add(3, x), ad.add(x, Tensor(1.0))):
             assert out.dtype == dtype, (dtype, out._op)
-        ad.tensor_sum(1.0 - x).backward()
+        ad.tensor_sum(ad.add(1.0, ad.mul(x, -1.0))).backward()
         assert x.grad.dtype == dtype
 
 

@@ -21,7 +21,9 @@ BAD_RUN_SETTINGS = [
     "train.epochs = -1",
     "train.lr0 = nan",
     "train.lr_decay_factor = 0",
+    "train.seed = -3",
     "augment.mixup_alpha = 0",
+    "augment.rng_seed = -2",
     "model.dropout_p = 1.5",
     "model.input_bands = 16",
     "model.input_frames = 17",
@@ -52,6 +54,10 @@ model.conv_channels = 2,2,3,3,4,4,5,5
         assert config.augment.stretch_range == (0.9, 1.2)
         assert config.model.attention_placement == "l2"
         assert config.model.conv_channels == (2, 2, 3, 3, 4, 4, 5, 5)
+
+    def test_negative_master_seed_rejected_when_overridden(self):
+        with pytest.raises(cfg.ConfigError, match="seed must be >= 0, got -1"):
+            cfg.parse_config("run.seed = -1\ntrain.seed = 0\naugment.rng_seed = 0\n")
 
     def test_master_seed_propagates(self):
         config = cfg.parse_config("run.seed = 11\n")
@@ -106,6 +112,15 @@ model.conv_channels = 2,2,3,3,4,4,5,5
         config = cfg.parse_config(example)
         assert config.variant == "esc10" and config.model.attention_placement == "l10"
 
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line")[1].split("```bash")[1].split("```")[0]
+        commands = [line.split() for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("esckit ")]
+        assert {argv[1] for argv in commands} == set(cli._COMMANDS)
+        for argv in commands:
+            cli.build_parser().parse_args(argv[1:])
+
     def test_readme_quick_start_runs(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         namespace = {}
@@ -139,6 +154,7 @@ model.conv_channels = 2,2,3,3,4,4,5,5
         "train.momentum = inf",
         "train.l2_coeff = -1e-4",
         "train.lr_decay_factor = -10",
+        "run.seed = -1",
         "model.dropout_p = 1",
         "model.dropout_p = -0.1",
         "model.num_classes = 0",
@@ -316,6 +332,12 @@ class TestCli:
         config_path.write_text(config_path.read_text() + "augment.stretch_range = 1.3,0.8\n")
         assert cli.main(["extract", "--config", str(config_path)]) == 1
         assert "stretch_range" in capsys.readouterr().err
+        assert not (tmp_path / "cache.lgt").exists()
+
+    def test_negative_seed_flag_exits_1_before_extracting(self, tmp_path, capsys):
+        config_path = build_audio_tree(tmp_path)
+        assert cli.main(["extract", "--config", str(config_path), "--seed", "-3"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "cache.lgt").exists()
 
     # input_bands = 64 parses; only the cache's 128 x 128 segments rule it out

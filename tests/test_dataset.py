@@ -147,6 +147,13 @@ class TestReadWav:
         with pytest.raises(ds.AudioDecodeError, match="unsupported codec"):
             ds.read_wav(path)
 
+    def test_zero_hertz_fmt_chunk_rejected(self, tmp_path):
+        path = tmp_path / "z.wav"
+        path.write_bytes(riff_wav(b"\x00" * 8, rate=0))
+        with pytest.raises(ds.AudioDecodeError, match="0 Hz .* fmt chunk at byte 20") as info:
+            ds.read_wav(path)
+        assert str(path) in str(info.value)
+
 
     # Each damaged file must raise AudioDecodeError naming the path and the
     # byte counts, not a bare numpy error or a silently short clip.

@@ -17,6 +17,12 @@ def sine_clip(freq_hz, seconds=5.0, **kw):
     return make_clip(x, **kw)
 
 
+class TestWaveClip:
+    def test_other_sample_rate_rejected(self):
+        with pytest.raises(ValueError, match="'slow.wav': sample rate 22050 Hz"):
+            make_clip(np.zeros(10), clip_id="slow.wav", sr=22050)
+
+
 class TestStftPower:
     def test_five_second_clip_frame_count(self):
         spec = ft.stft_power(make_clip(np.zeros(220_500)))
