@@ -40,8 +40,8 @@ print(f"clips evaluated: {report.confusion.sum()} (each exactly once)")
 quick = tr.TrainConfig(batch_size=64, epochs=2, seed=0,
                        augmentation=AugmentConfig(copies_per_clip=0, mixup_enabled=True))
 two_folds = SegmentDataset(segments=[s for s in segments if s.fold <= 2], num_classes=2)
-rows = ev.ablate(two_folds, quick, model_config,
-                 placements=["none", "l2", "l4", "l6", "l8", "l10"], grid=True)
+results = ev.ablate(two_folds, quick, model_config,
+                    placements=["none", "l2", "l4", "l6", "l8", "l10"], grid=True)
 print("\nablation rows (2-fold quick pass, labels as reported):")
-for row in rows:
-    print(f"  {row.label:18s} mean accuracy {row.mean_accuracy:.2f}")
+for label, variant_report in results:
+    print(f"  {label:18s} mean accuracy {variant_report.mean_accuracy:.2f}")

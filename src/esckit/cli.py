@@ -19,9 +19,9 @@ import numpy as np
 
 from . import __version__
 from .cachefile import CACHE_SEGMENT_SHAPE, CACHE_VERSIONS, CHECKPOINT_VERSION, \
-    CacheFormatError, CheckpointFormatError, read_cache_dataset, read_checkpoint, write_atomic
+    read_cache_dataset, read_checkpoint, write_atomic
 from .config import ConfigError, RunConfig, dump_config, load_config
-from .dataset import VARIANTS, AudioDecodeError, MetadataError, build_cache, load_metadata
+from .dataset import VARIANTS, build_cache, load_metadata
 from .evaluate import EvalReport, ablate, ablation_to_csv, confusion_matrix, cross_validate, \
     evaluate_fold
 from .fdcheck import MODEL_TOLERANCE, OP_TOLERANCE, model_gradient_checks, op_gradient_checks
@@ -181,10 +181,11 @@ def _cmd_eval(args):
     stats = compute_norm_stats(split_fold(dataset, args.fold, config.augment.copies_per_clip)[0])
     params = build(config.model)
     load_state(params, read_checkpoint(args.checkpoint))
-    accuracy, predictions, truths = evaluate_fold(dataset, params, stats, args.fold)
-    report = EvalReport(fold_accuracies={args.fold: accuracy}, mean_accuracy=accuracy,
-                        confusion=confusion_matrix(predictions, truths, dataset.num_classes),
-                        num_classes=dataset.num_classes, class_names=dataset.class_names)
+    accuracy, predictions, truths = evaluate_fold(dataset, params, stats, args.fold,
+                                                  config.train.batch_size)
+    report = EvalReport({args.fold: accuracy},
+                        confusion_matrix(predictions, truths, dataset.num_classes),
+                        dataset.class_names)
     report.to_csv(args.report)
     report.confusion_to_csv(f"{args.report}.confusion.csv")
     _write_manifest(f"{args.report}.manifest", config, "eval")
@@ -206,15 +207,15 @@ def _cmd_cv(args):
 
 def _cmd_ablate(args):
     config = _load_run_config(args)
-    placements = [p.strip() for p in args.placements.split(",")] if args.placements else None
+    placements = [p.strip() for p in args.placements.split(",")] if args.placements else []
     if not placements and not args.grid:
         raise ConfigError("ablate needs --placements and/or --grid")
-    rows = ablate(_dataset(config), config.train, config.model,
-                  placements=placements, grid=args.grid)
-    ablation_to_csv(rows, args.report)
+    results = ablate(_dataset(config), config.train, config.model,
+                     placements=placements, grid=args.grid)
+    ablation_to_csv(results, args.report)
     _write_manifest(f"{args.report}.manifest", config, "ablate")
-    for row in rows:
-        print(f"{row.label}: mean accuracy {row.mean_accuracy:.3f}")
+    for label, report in results:
+        print(f"{label}: mean accuracy {report.mean_accuracy:.3f}")
     return 0
 
 
@@ -247,8 +248,8 @@ _COMMANDS = {
     "gradcheck": _cmd_gradcheck,
 }
 
-_VALIDATION_ERRORS = (ConfigError, MetadataError, AudioDecodeError, CacheFormatError,
-                      CheckpointFormatError, ValueError, FileNotFoundError)
+# every error class esckit defines is a ValueError, so this is exit 1 for all of them
+_VALIDATION_ERRORS = (ValueError, FileNotFoundError)
 
 
 def cli_dispatch(argv):

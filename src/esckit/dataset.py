@@ -124,8 +124,8 @@ def read_wav(path):
     Stereo is averaged to mono; 16-bit samples scale by 1/32768; other sample
     rates are linearly resampled to 44100 with a logged warning. Label and
     fold default to 0 until metadata is attached. A chunk that runs past the
-    end of the file, or data that is not a whole number of sample frames,
-    raises AudioDecodeError with the path and the byte counts.
+    end of the file, or data that is empty or not a whole number of sample
+    frames, raises AudioDecodeError with the path and the byte counts.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -148,6 +148,8 @@ def read_wav(path):
     if data_size % frame_bytes:
         raise AudioDecodeError(f"{path}: data chunk at byte {data_off} holds {data_size} bytes, "
                                f"not a whole number of {frame_bytes}-byte sample frames")
+    if data_size == 0:
+        raise AudioDecodeError(f"{path}: data chunk at byte {data_off} holds no sample frame")
     data = blob[data_off:data_off + data_size]
 
     if bits == 16:

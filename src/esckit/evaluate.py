@@ -3,25 +3,24 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import model as acrnn
 from .cachefile import write_csv
-from .features import normalize
-from .train import split_fold, train
-
-GRID_LABELS = ("base", "attention", "augment", "attention+augment")
+from .train import predict_clips, split_fold, train
 
 
 @dataclass
 class EvalReport:
     fold_accuracies: dict          # fold id -> clip accuracy
-    mean_accuracy: float
     confusion: np.ndarray          # (K, K) counts, rows true / columns predicted
-    num_classes: int
-    class_names: dict
+    class_names: dict = field(default_factory=dict)
+
+    @property
+    def mean_accuracy(self):
+        return float(np.mean(list(self.fold_accuracies.values())))
 
     def to_csv(self, path):
         write_csv(path, [["fold", "accuracy"]]
@@ -30,16 +29,9 @@ class EvalReport:
                   + [["mean", repr(self.mean_accuracy)]])
 
     def confusion_to_csv(self, path):
-        names = [self.class_names.get(i, str(i)) for i in range(self.num_classes)]
+        names = [self.class_names.get(i, str(i)) for i in range(len(self.confusion))]
         write_csv(path, [["true\\predicted"] + names]
                   + [[names[i]] + [int(v) for v in row] for i, row in enumerate(self.confusion)])
-
-
-@dataclass
-class AblationRow:
-    label: str
-    mean_accuracy: float
-    fold_accuracies: dict
 
 
 def predict_clip(params, segments):
@@ -54,33 +46,6 @@ def predict_clip(params, segments):
     probs = acrnn.forward(params, batch, mode="infer").data
     avg = probs.mean(axis=0)
     return int(avg.argmax()), avg
-
-
-def predict_clips(params, clips, stats, batch_size):
-    """``predict_clip`` for each clip of a sequence of raw segment lists.
-
-    The segments of all clips are normalized with ``stats`` and run through
-    the infer-mode forward ``batch_size`` at a time, so inference never holds
-    more than one training batch; each clip's probability rows are then
-    averaged as ``predict_clip`` does. Returns one (prediction, average) pair
-    per clip.
-    """
-    clips = list(clips)
-    if not clips:
-        return []
-    if not all(clips):
-        raise ValueError("predict_clips needs at least one segment per clip")
-    flat = [s for segs in clips for s in segs]
-    probs = np.concatenate([
-        acrnn.forward(params, normalize([s.values for s in flat[i:i + batch_size]], stats),
-                      mode="infer").data
-        for i in range(0, len(flat), batch_size)])
-    out, start = [], 0
-    for segs in clips:
-        avg = probs[start:start + len(segs)].mean(axis=0)
-        out.append((int(avg.argmax()), avg))
-        start += len(segs)
-    return out
 
 
 def confusion_matrix(predictions, truths, num_classes):
@@ -129,58 +94,42 @@ def cross_validate(dataset, train_config, model_config, out_dir=None):
                        out_dir=None if out_dir is None else os.path.join(out_dir, f"fold{fold}"))
         confusion += confusion_matrix(result.val_predictions, result.val_truths, k)
         fold_accuracies[fold] = float(result.history.rows[-1].val_acc)
-    report = EvalReport(fold_accuracies=fold_accuracies,
-                        mean_accuracy=float(np.mean(list(fold_accuracies.values()))),
-                        confusion=confusion, num_classes=k, class_names=dataset.class_names)
+    report = EvalReport(fold_accuracies, confusion, dataset.class_names)
     if out_dir is not None:
         report.to_csv(os.path.join(out_dir, "report.csv"))
         report.confusion_to_csv(os.path.join(out_dir, "confusion.csv"))
     return report
 
 
-def ablate(dataset, train_config, model_config, placements=None, grid=False):
-    """Cross-validate a family of model variants under one shared seed.
+def ablate(dataset, train_config, model_config, placements=(), grid=False):
+    """Cross-validate a family of model variants under one shared seed; returns
+    one (label, EvalReport) pair per variant, in run order.
 
     ``placements`` runs attention-placement rows (labels as given); ``grid``
     runs the four-row attention x augmentation grid {base, attention, augment,
     attention+augment}, where the attention rows use the configured placement
-    and the augment rows enable augmented copies and mixup.
+    (l10 when it is "none") and the augment rows enable augmented copies and
+    mixup. Every variant's config is built, and so validated, before the
+    first fold trains.
     """
-    rows = []
-
-    def run(label, m_config, t_config):
-        report = cross_validate(dataset, t_config, m_config)
-        rows.append(AblationRow(label=label, mean_accuracy=report.mean_accuracy,
-                                fold_accuracies=report.fold_accuracies))
-
-    if placements:
-        unknown = set(placements) - set(acrnn.PLACEMENTS)
-        if unknown:
-            raise ValueError(f"unknown placements {sorted(unknown)}; "
-                             f"choose from {acrnn.PLACEMENTS}")
-        for placement in placements:
-            run(placement, replace(model_config, attention_placement=placement), train_config)
-
+    aug_on = train_config.augmentation
+    aug_off = replace(aug_on, copies_per_clip=0, mixup_enabled=False)
+    attention = model_config.attention_placement
+    attention = "l10" if attention == "none" else attention
+    table = [(placement, placement, aug_on) for placement in placements]
     if grid:
-        attention_placement = (model_config.attention_placement
-                               if model_config.attention_placement != "none" else "l10")
-        aug_on = train_config.augmentation
-        aug_off = replace(aug_on, copies_per_clip=0, mixup_enabled=False)
-        variants = {
-            "base": ("none", aug_off),
-            "attention": (attention_placement, aug_off),
-            "augment": ("none", aug_on),
-            "attention+augment": (attention_placement, aug_on),
-        }
-        for label in GRID_LABELS:
-            placement, aug = variants[label]
-            run(label, replace(model_config, attention_placement=placement),
-                replace(train_config, augmentation=aug))
-    return rows
+        table += [("base", "none", aug_off), ("attention", attention, aug_off),
+                  ("augment", "none", aug_on), ("attention+augment", attention, aug_on)]
+    variants = [(label, replace(model_config, attention_placement=placement),
+                 replace(train_config, augmentation=aug)) for label, placement, aug in table]
+    return [(label, cross_validate(dataset, t_config, m_config))
+            for label, m_config, t_config in variants]
 
 
-def ablation_to_csv(rows, path):
-    folds = sorted(rows[0].fold_accuracies) if rows else []
+def ablation_to_csv(results, path):
+    """One row per (label, EvalReport) pair: the mean, then each fold's accuracy."""
+    folds = sorted(results[0][1].fold_accuracies) if results else []
     write_csv(path, [["setting", "mean_accuracy"] + [f"fold{f}" for f in folds]]
-              + [[row.label, repr(row.mean_accuracy)]
-                 + [repr(row.fold_accuracies[f]) for f in folds] for row in rows])
+              + [[label, repr(report.mean_accuracy)]
+                 + [repr(report.fold_accuracies[f]) for f in folds]
+                 for label, report in results])

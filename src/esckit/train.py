@@ -188,6 +188,33 @@ def epoch_batches(n, batch_size, rng):
     return [order[start:start + batch_size] for start in range(0, n, batch_size)]
 
 
+def predict_clips(params, clips, stats, batch_size):
+    """``evaluate.predict_clip`` for each clip of a sequence of raw segment lists.
+
+    The segments of all clips are normalized with ``stats`` and run through
+    the infer-mode forward ``batch_size`` at a time, so inference never holds
+    more than one training batch; each clip's probability rows are then
+    averaged as ``predict_clip`` does. Returns one (prediction, average) pair
+    per clip.
+    """
+    clips = list(clips)
+    if not clips:
+        return []
+    if not all(clips):
+        raise ValueError("predict_clips needs at least one segment per clip")
+    flat = [s for segs in clips for s in segs]
+    probs = np.concatenate([
+        acrnn.forward(params, normalize([s.values for s in flat[i:i + batch_size]], stats),
+                      mode="infer").data
+        for i in range(0, len(flat), batch_size)])
+    out, start = [], 0
+    for segs in clips:
+        avg = probs[start:start + len(segs)].mean(axis=0)
+        out.append((int(avg.argmax()), avg))
+        start += len(segs)
+    return out
+
+
 def train(dataset, config, model_config, held_out_fold, out_dir=None):
     """Train on every fold except ``held_out_fold``; returns TrainResult.
 
@@ -198,8 +225,6 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
     are both kept, and written as ckpt_best / ckpt_final when out_dir is set.
     Training accuracy is measured against the pre-mixup labels.
     """
-    from .evaluate import predict_clips  # local import; evaluate builds on train
-
     segments, val_clips, val_truths, held_out_ids = split_fold(
         dataset, held_out_fold, config.augmentation.copies_per_clip)
     if not segments:

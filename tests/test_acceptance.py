@@ -245,11 +245,11 @@ def test_criterion_7_protocol_integrity(synthetic_50clip_cache):
     placement_rows = ev.ablate(two_folds, quick,
                                tiny_model_config(input_bands=128, input_frames=128),
                                placements=["none", "l2", "l4", "l6", "l8", "l10"])
-    assert [r.label for r in placement_rows] == ["none", "l2", "l4", "l6", "l8", "l10"]
+    assert [label for label, _ in placement_rows] == ["none", "l2", "l4", "l6", "l8", "l10"]
     grid_rows = ev.ablate(two_folds, quick,
                           tiny_model_config(input_bands=128, input_frames=128), grid=True)
-    assert [r.label for r in grid_rows] == ["base", "attention", "augment",
-                                            "attention+augment"]
+    assert [label for label, _ in grid_rows] == ["base", "attention", "augment",
+                                                 "attention+augment"]
     print("\n[criterion 7] PASS - 5 folds, 50/50 clips evaluated once, leakage guard "
           "trips on a poisoned split, 6 placement labels + 4 grid labels emitted")
 

@@ -114,8 +114,7 @@ def _torn_open(real_open, fail_at=1):
 
 
 def _report(v):
-    return ev.EvalReport(fold_accuracies={1: v}, mean_accuracy=v,
-                         confusion=np.array([[1, v > 0], [0, 2]]), num_classes=2,
+    return ev.EvalReport(fold_accuracies={1: v}, confusion=np.array([[1, v > 0], [0, 2]]),
                          class_names={0: "dog", 1: "rain"})
 
 
@@ -126,8 +125,7 @@ WRITERS = {
         label=0, fold=1)]),
     "report": lambda path, v: _report(v).to_csv(path),
     "confusion": lambda path, v: _report(v).confusion_to_csv(path),
-    "ablation": lambda path, v: ev.ablation_to_csv(
-        [ev.AblationRow(label="base", mean_accuracy=v, fold_accuracies={1: v})], path),
+    "ablation": lambda path, v: ev.ablation_to_csv([("base", _report(v))], path),
     "history": lambda path, v: TrainHistory(rows=[HistoryRow(
         epoch=1, lr=0.01, train_loss=v, train_acc=0.5, val_acc=0.5, seconds=1.0)]).to_csv(path),
     "manifest": lambda path, v: cli._write_manifest(path, RunConfig(seed=int(v * 10)), "cv"),

@@ -1,12 +1,16 @@
 import hashlib
+import importlib
+import pkgutil
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import esckit
 from esckit import cli
 from esckit import config as cfg
+from esckit import model as acrnn
 from esckit.augment import AugmentConfig
 from esckit.model import ACRNNConfig
 from esckit.train import TrainConfig
@@ -317,6 +321,35 @@ class TestCli:
         cli._write_manifest(path, cfg.RunConfig(), "cv")
         assert f"manifest.blas_threads = {threads}" in path.read_text().splitlines()
 
+    def test_eval_infers_at_the_training_batch_size(self, tmp_path, monkeypatch):
+        config_path = build_audio_tree(tmp_path, n_clips=12)
+        config_path.write_text(config_path.read_text().replace("train.batch_size = 16",
+                                                               "train.batch_size = 4"))
+        assert cli.main(["extract", "--config", str(config_path)]) == 0
+        assert cli.main(["train", "--config", str(config_path), "--fold", "2"]) == 0
+        rows, forward = [], acrnn.forward
+        monkeypatch.setattr(acrnn, "forward",
+                            lambda params, x, **kw: rows.append(len(x)) or forward(params, x, **kw))
+        assert cli.main(["eval", "--config", str(config_path), "--fold", "2",
+                         "--checkpoint", str(tmp_path / "out" / "ckpt_final"),
+                         "--report", str(tmp_path / "eval.csv")]) == 0
+        assert sum(rows) == 6 and max(rows) == 4  # fold 2's six one-segment clips
+
+    def test_every_esckit_error_is_a_validation_error(self):
+        # cli_dispatch maps ValueError to exit 1; any other exception is exit 2
+        expected = {"ConfigError", "MetadataError", "AudioDecodeError", "CacheFormatError",
+                    "CheckpointFormatError", "LeakageError", "ShapeError", "GraphError",
+                    "TooShortError"}
+        # the private _UsageError is the parser's, caught before any command runs
+        modules = [importlib.import_module(f"esckit.{m.name}")
+                   for m in pkgutil.iter_modules(esckit.__path__)]
+        defined = {obj for module in modules for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and obj.__module__ == module.__name__ and not obj.__name__.startswith("_")}
+        assert {e.__name__ for e in defined} == expected
+        for error in defined:
+            assert issubclass(error, ValueError), error.__name__
+
     def test_ablate_labels(self, tmp_path):
         config_path = build_audio_tree(tmp_path)
         assert cli.main(["extract", "--config", str(config_path)]) == 0
@@ -332,6 +365,15 @@ class TestCli:
         config_path.write_text(config_path.read_text() + "augment.stretch_range = 1.3,0.8\n")
         assert cli.main(["extract", "--config", str(config_path)]) == 1
         assert "stretch_range" in capsys.readouterr().err
+        assert not (tmp_path / "cache.lgt").exists()
+
+    def test_empty_data_chunk_exits_1_naming_the_file(self, tmp_path, capsys):
+        config_path = build_audio_tree(tmp_path)
+        write_wav(tmp_path / "clip3.wav", np.zeros(0, dtype=np.int16), rate=22050)
+        assert cli.main(["extract", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'clip3.wav'}: data chunk at byte 44 holds no " \
+                      "sample frame\n"
         assert not (tmp_path / "cache.lgt").exists()
 
     def test_negative_seed_flag_exits_1_before_extracting(self, tmp_path, capsys):

@@ -154,6 +154,16 @@ class TestReadWav:
             ds.read_wav(path)
         assert str(path) in str(info.value)
 
+    # an empty data chunk is rejected at every rate, before the resampler sees it
+    @pytest.mark.parametrize("rate", [22050, SAMPLE_RATE])
+    def test_empty_data_chunk_rejected(self, tmp_path, rate):
+        path = tmp_path / "empty.wav"
+        path.write_bytes(riff_wav(b"", rate=rate))
+        with pytest.raises(ds.AudioDecodeError,
+                           match="data chunk at byte 44 holds no sample frame") as info:
+            ds.read_wav(path)
+        assert str(path) in str(info.value)
+
 
     # Each damaged file must raise AudioDecodeError naming the path and the
     # byte counts, not a bare numpy error or a silently short clip.

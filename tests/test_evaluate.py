@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -280,30 +282,72 @@ class TestCrossValidate:
 class TestAblate:
     def test_placement_rows_match_table_labels(self):
         dataset = make_segment_dataset(n_clips=8, segs_per_clip=1, n_folds=2)
-        rows = ev.ablate(dataset, quick_train_config(), tiny_model_config(),
-                         placements=["none", "l2", "l4", "l6", "l8", "l10"])
-        assert [r.label for r in rows] == ["none", "l2", "l4", "l6", "l8", "l10"]
-        for row in rows:
-            assert 0.0 <= row.mean_accuracy <= 1.0
-            assert sorted(row.fold_accuracies) == [1, 2]
+        results = ev.ablate(dataset, quick_train_config(), tiny_model_config(),
+                            placements=["none", "l2", "l4", "l6", "l8", "l10"])
+        assert [label for label, _ in results] == ["none", "l2", "l4", "l6", "l8", "l10"]
+        for _, report in results:
+            assert 0.0 <= report.mean_accuracy <= 1.0
+            assert sorted(report.fold_accuracies) == [1, 2]
 
     def test_grid_rows_match_table_labels(self):
         dataset = make_segment_dataset(n_clips=8, segs_per_clip=1, n_folds=2,
                                        augmented_copies=1)
-        rows = ev.ablate(dataset, quick_train_config(), tiny_model_config(), grid=True)
-        assert [r.label for r in rows] == ["base", "attention", "augment", "attention+augment"]
+        results = ev.ablate(dataset, quick_train_config(), tiny_model_config(), grid=True)
+        assert [label for label, _ in results] == ["base", "attention", "augment",
+                                                   "attention+augment"]
 
-    def test_unknown_placement_rejected(self):
+    def test_unknown_placement_rejected(self, monkeypatch):
         dataset = make_segment_dataset(n_clips=4, segs_per_clip=1, n_folds=2)
         with pytest.raises(ValueError):
             ev.ablate(dataset, quick_train_config(), tiny_model_config(), placements=["l3"])
+        # every variant is validated before the first fold trains
+        calls = []
+        monkeypatch.setattr(ev, "cross_validate", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match="attention_placement .* got 'l3'"):
+            ev.ablate(dataset, quick_train_config(), tiny_model_config(),
+                      placements=["l2", "l3"], grid=True)
+        assert calls == []
 
     def test_csv_output(self, tmp_path):
         dataset = make_segment_dataset(n_clips=4, segs_per_clip=1, n_folds=2)
-        rows = ev.ablate(dataset, quick_train_config(), tiny_model_config(),
-                         placements=["none", "l10"])
+        results = ev.ablate(dataset, quick_train_config(), tiny_model_config(),
+                            placements=["none", "l10"])
         path = tmp_path / "ablation.csv"
-        ev.ablation_to_csv(rows, path)
+        ev.ablation_to_csv(results, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "setting,mean_accuracy,fold1,fold2"
         assert lines[1].startswith("none,") and lines[2].startswith("l10,")
+
+
+class TestReportCsv:
+    """The report writers' bytes, pinned on hand-built reports with unequal folds."""
+
+    def report(self, folds):
+        return ev.EvalReport(folds, np.array([[3, 0, 1], [0, 2, 0], [1, 0, 4]]),
+                             {0: "dog", 2: "rain"})
+
+    def test_mean_and_class_count_are_derived(self):
+        report = self.report({1: 0.25, 2: 1 / 3})
+        assert report.mean_accuracy == (0.25 + 1 / 3) / 2
+        assert ev.EvalReport({4: 1 / 3}, np.zeros((2, 2))).mean_accuracy == 1 / 3
+        assert [f.name for f in fields(ev.EvalReport)] == [
+            "fold_accuracies", "confusion", "class_names"]
+
+    def test_report_bytes(self, tmp_path):
+        self.report({1: 0.25, 2: 1 / 3}).to_csv(tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_bytes() == (
+            b"fold,accuracy\r\n1,0.25\r\n2,0.3333333333333333\r\n"
+            b"mean,0.29166666666666663\r\n")
+
+    def test_confusion_bytes_fall_back_to_the_class_index(self, tmp_path):
+        self.report({1: 0.25, 2: 1 / 3}).confusion_to_csv(tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_bytes() == (
+            b"true\\predicted,dog,1,rain\r\ndog,3,0,1\r\n1,0,2,0\r\nrain,1,0,4\r\n")
+
+    def test_ablation_bytes(self, tmp_path):
+        ev.ablation_to_csv([("base", self.report({1: 0.25, 2: 1 / 3})),
+                            ("attention", self.report({2: 0.75, 1: 0.5}))], tmp_path / "a.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (
+            b"setting,mean_accuracy,fold1,fold2\r\n"
+            b"base,0.29166666666666663,0.25,0.3333333333333333\r\n"
+            b"attention,0.625,0.5,0.75\r\n")
