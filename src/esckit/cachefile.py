@@ -134,11 +134,16 @@ def _read_container(path, magic, versions, read_header, error, record_shape=None
                 except UnicodeDecodeError as exc:
                     raise error(f"record {i} name at byte {fh.tell() - name_len} is not "
                                 f"UTF-8: {exc.reason}") from exc
+                shape_at = fh.tell()
                 header, shape = read_header(read, version)
                 nbytes = 4 * math.prod(shape)
                 if nbytes > size - fh.tell():
                     raise struct.error(f"record {i} needs {nbytes} value bytes, "
                                        f"{size - fh.tell()} remain")
+                # numpy sizes an empty array by its nonzero dims; bound those too
+                if 4 * math.prod(d or 1 for d in shape) > size:
+                    raise error(f"record {i} declares shape {shape} at byte {shape_at}, "
+                                f"whose nonzero dims span more than the {size}-byte file")
                 values = np.empty(shape, dtype="<f4") if store is None else store[i]
                 fh.readinto(values.reshape(-1).view(np.uint8))
                 records.append((name, header, values))

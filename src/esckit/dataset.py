@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import logging
 import os
 import struct
 import zlib
@@ -14,8 +13,6 @@ import numpy as np
 from .augment import augment_clip
 from .cachefile import write_cache
 from .features import SAMPLE_RATE, WaveClip, build_gammatone_filterbank, extract_segments
-
-logger = logging.getLogger(__name__)
 
 VARIANTS = ("esc10", "esc50", "custom")
 
@@ -60,6 +57,9 @@ def load_metadata(path, variant="esc50"):
             raise MetadataError(f"{path}: missing columns {sorted(missing)}")
         records, seen = [], {}
         for line_no, row in enumerate(reader, start=2):
+            absent = sorted(c for c in required if row[c] is None)
+            if absent:
+                raise MetadataError(f"{path}:{line_no}: row ends before columns {absent}")
             name = row["filename"].strip()
             if not name:
                 raise MetadataError(f"{path}:{line_no}: empty filename")
@@ -119,13 +119,14 @@ def _find_chunks(blob, path):
 
 
 def read_wav(path):
-    """Decode a PCM16 or float32 RIFF/WAVE file into a mono 44.1 kHz WaveClip.
+    """Decode a 16-bit PCM, 44.1 kHz RIFF/WAVE file into a mono WaveClip.
 
-    Stereo is averaged to mono; 16-bit samples scale by 1/32768; other sample
-    rates are linearly resampled to 44100 with a logged warning. Label and
-    fold default to 0 until metadata is attached. A chunk that runs past the
-    end of the file, or data that is empty or not a whole number of sample
-    frames, raises AudioDecodeError with the path and the byte counts.
+    That is ESC-50's format and the only one accepted: samples scale by
+    1/32768 and stereo is averaged to mono. Label and fold default to 0
+    until metadata is attached. Any other codec or sample rate, a chunk that
+    runs past the end of the file, or data that is empty or not a whole
+    number of sample frames raises AudioDecodeError with the path and the
+    byte offset or counts.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -136,34 +137,25 @@ def read_wav(path):
     if fmt_size < 16:
         raise AudioDecodeError(f"{path}: fmt chunk too short at byte {fmt_off}")
     audio_format, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", blob, fmt_off)
-    if (audio_format, bits) not in ((1, 16), (3, 32)):
+    if (audio_format, bits) != (1, 16):
         raise AudioDecodeError(f"{path}: unsupported codec (format {audio_format}, "
-                               f"{bits}-bit) in fmt chunk at byte {fmt_off}")
+                               f"{bits}-bit) in fmt chunk at byte {fmt_off}; "
+                               "only 16-bit PCM is read")
     if channels not in (1, 2):
         raise AudioDecodeError(f"{path}: {channels} channels unsupported")
-    if rate == 0:
-        raise AudioDecodeError(f"{path}: 0 Hz sample rate in fmt chunk at byte {fmt_off}")
     data_off, data_size = chunks[b"data"]
-    frame_bytes = channels * bits // 8
-    if data_size % frame_bytes:
+    if data_size % (2 * channels):
         raise AudioDecodeError(f"{path}: data chunk at byte {data_off} holds {data_size} bytes, "
-                               f"not a whole number of {frame_bytes}-byte sample frames")
+                               f"not a whole number of {2 * channels}-byte sample frames")
     if data_size == 0:
         raise AudioDecodeError(f"{path}: data chunk at byte {data_off} holds no sample frame")
-    data = blob[data_off:data_off + data_size]
-
-    if bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    else:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+    if rate != SAMPLE_RATE:
+        raise AudioDecodeError(f"{path}: {rate} Hz sample rate in fmt chunk at byte {fmt_off}; "
+                               f"only {SAMPLE_RATE} Hz is read")
+    samples = np.frombuffer(blob, dtype="<i2", count=data_size // 2,
+                            offset=data_off).astype(np.float64) / 32768.0
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
-
-    if rate != SAMPLE_RATE:
-        logger.warning("%s: resampling %d Hz -> %d Hz (linear)", path, rate, SAMPLE_RATE)
-        n_out = int(round(samples.size * SAMPLE_RATE / rate))
-        samples = np.interp(np.linspace(0.0, samples.size - 1.0, num=n_out),
-                            np.arange(samples.size), samples)
     return WaveClip(samples=samples, sample_rate=SAMPLE_RATE, label=0, fold=0,
                     clip_id=os.path.basename(path))
 

@@ -65,6 +65,22 @@ class TestByteLayout:
         with pytest.raises(cf.CheckpointFormatError, match="truncated"):
             cf.read_checkpoint(path)
 
+    def test_empty_record_with_oversized_dims_is_a_format_error(self, tmp_path):
+        # 28 bytes: one rank-3 record that holds no values, but whose nonzero
+        # dims are past what numpy can size
+        path = tmp_path / "ckpt"
+        blob = (cf.CHECKPOINT_MAGIC + struct.pack("<IIH", 1, 1, 1) + b"w"
+                + struct.pack("<B3I", 3, 0, 2 ** 32 - 1, 2 ** 32 - 1))
+        assert len(blob) == 28
+        path.write_bytes(blob)
+        with pytest.raises(cf.CheckpointFormatError,
+                           match=r"record 0 declares shape \(0, 4294967295, 4294967295\) "
+                                 "at byte 15"):
+            cf.read_checkpoint(path)
+        # an empty record whose dims fit in the file still reads back
+        cf.save_checkpoint(path, {"w": np.zeros((0, 5), np.float32)})
+        assert cf.read_checkpoint(path)["w"].shape == (0, 5)
+
     @pytest.mark.parametrize("write, read, error", [
         (lambda p: cf.save_checkpoint(p, {"w": np.ones(3)}), cf.read_checkpoint,
          cf.CheckpointFormatError),

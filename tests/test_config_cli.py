@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import pkgutil
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from esckit.model import ACRNNConfig
 from esckit.train import TrainConfig
 from esckit.cachefile import CACHE_VERSIONS, CHECKPOINT_VERSION, read_cache, write_cache
 from esckit.features import SAMPLE_RATE
-from test_dataset import meta_csv, write_wav
+from test_dataset import float32_wav, meta_csv, riff_wav, write_wav
 
 
 BAD_RUN_SETTINGS = [
@@ -375,6 +376,28 @@ class TestCli:
         assert err == f"error: {tmp_path / 'clip3.wav'}: data chunk at byte 44 holds no " \
                       "sample frame\n"
         assert not (tmp_path / "cache.lgt").exists()
+
+    @pytest.mark.parametrize("blob, message", [
+        (float32_wav(np.zeros(8)),
+         r"unsupported codec \(format 3, 32-bit\) in fmt chunk at byte 20"),
+        (riff_wav(bytes(16), rate=48000), "48000 Hz sample rate in fmt chunk at byte 20"),
+    ], ids=["float32", "48kHz"])
+    def test_other_codec_or_rate_exits_1_naming_the_file(self, tmp_path, capsys, blob, message):
+        config_path = build_audio_tree(tmp_path)
+        (tmp_path / "clip3.wav").write_bytes(blob)
+        assert cli.main(["extract", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert re.match(f"error: {re.escape(str(tmp_path / 'clip3.wav'))}: {message}", err), err
+        assert not list(tmp_path.glob("cache.lgt*"))
+
+    def test_short_metadata_row_exits_1_naming_the_line(self, tmp_path, capsys):
+        config_path = build_audio_tree(tmp_path)
+        meta = tmp_path / "meta.csv"
+        meta.write_text(meta.read_text() + "clip6.wav,1\n")
+        assert cli.main(["extract", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {meta}:8: row ends before columns ['category', 'target']\n"
+        assert not list(tmp_path.glob("cache.lgt*"))
 
     def test_negative_seed_flag_exits_1_before_extracting(self, tmp_path, capsys):
         config_path = build_audio_tree(tmp_path)

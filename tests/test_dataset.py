@@ -1,5 +1,7 @@
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,14 +24,17 @@ def riff_wav(payload, audio_format=1, channels=1, bits=16, rate=SAMPLE_RATE, dat
     return header + fmt_chunk + data_chunk + payload
 
 
-def write_wav(path, samples, rate=SAMPLE_RATE, fmt="pcm16"):
-    """Minimal RIFF writer for fixtures: pcm16 int16 or float32 arrays."""
+def write_wav(path, samples, rate=SAMPLE_RATE):
+    """Minimal RIFF writer for fixtures: int16 arrays as PCM16, one column
+    per channel."""
     samples = np.asarray(samples)
     channels = 1 if samples.ndim == 1 else samples.shape[1]
-    if fmt == "pcm16":
-        path.write_bytes(riff_wav(samples.astype("<i2").tobytes(), 1, channels, 16, rate))
-    else:
-        path.write_bytes(riff_wav(samples.astype("<f4").tobytes(), 3, channels, 32, rate))
+    path.write_bytes(riff_wav(samples.astype("<i2").tobytes(), 1, channels, 16, rate))
+
+
+def float32_wav(samples):
+    """A float32 (format 3) RIFF/WAVE file, a codec read_wav refuses."""
+    return riff_wav(np.asarray(samples, "<f4").tobytes(), audio_format=3, bits=32)
 
 
 def meta_csv(path, rows, header="filename,fold,target,category"):
@@ -87,17 +92,19 @@ class TestLoadMetadata:
         with pytest.raises(ds.MetadataError, match=":3"):
             ds.load_metadata(path, variant="custom")
 
-    def test_bad_fold_and_target(self, tmp_path):
+    @pytest.mark.parametrize("row, variant, message", [
+        ("a.wav,6,0,dog", "custom", "fold 6"),
+        ("a.wav,1,-2,dog", "custom", "negative target"),
+        ("a.wav,1,50,dog", "esc50", "target 50"),
+        ("a.wav,1", "custom", r"row ends before columns \['category', 'target'\]"),
+        ("a.wav,1,2", "custom", r"row ends before columns \['category'\]"),
+    ], ids=["fold", "negative-target", "target-past-classes", "no-target", "no-category"])
+    def test_malformed_row_rejected(self, tmp_path, row, variant, message):
         path = tmp_path / "meta.csv"
-        meta_csv(path, ["a.wav,6,0,dog"])
-        with pytest.raises(ds.MetadataError, match="fold"):
-            ds.load_metadata(path, variant="custom")
-        meta_csv(path, ["a.wav,1,-2,dog"])
-        with pytest.raises(ds.MetadataError, match="target"):
-            ds.load_metadata(path, variant="custom")
-        meta_csv(path, ["a.wav,1,50,dog"])
-        with pytest.raises(ds.MetadataError, match="target"):
-            ds.load_metadata(path, variant="esc50")
+        meta_csv(path, [row])
+        with pytest.raises(ds.MetadataError, match=message) as info:
+            ds.load_metadata(path, variant=variant)
+        assert str(path) in str(info.value)
 
 
 class TestReadWav:
@@ -115,19 +122,6 @@ class TestReadWav:
         clip = ds.read_wav(path)
         assert np.allclose(clip.samples, [0.3, 0.3], atol=1e-4)
 
-    def test_float32_payload(self, tmp_path):
-        path = tmp_path / "f.wav"
-        write_wav(path, np.array([0.25, -0.75]), fmt="float32")
-        clip = ds.read_wav(path)
-        assert np.allclose(clip.samples, [0.25, -0.75], atol=1e-7)
-
-    def test_resampling_doubles_length(self, tmp_path):
-        path = tmp_path / "r.wav"
-        n = 1000
-        write_wav(path, np.zeros(n, dtype=np.int16), rate=22050)
-        clip = ds.read_wav(path)
-        assert abs(clip.samples.size - 2 * n) <= 1
-
     def test_malformed_header_reports_offset(self, tmp_path):
         path = tmp_path / "bad.wav"
         path.write_bytes(b"JUNKJUNKJUNKJUNK")
@@ -137,24 +131,27 @@ class TestReadWav:
         with pytest.raises(ds.AudioDecodeError, match="byte 8"):
             ds.read_wav(path)
 
-    def test_unsupported_codec_rejected(self, tmp_path):
+    @pytest.mark.parametrize("blob, codec", [
+        (riff_wav(b"\x00" * 8, audio_format=7, bits=8), r"\(format 7, 8-bit\)"),
+        (float32_wav([0.1, np.nan, np.inf]), r"\(format 3, 32-bit\)"),
+    ], ids=["mulaw-8bit", "float32"])
+    def test_unsupported_codec_rejected(self, tmp_path, blob, codec):
         path = tmp_path / "u.wav"
-        payload = b"\x00" * 8
-        header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-        fmt_chunk = b"fmt " + struct.pack("<IHHIIHH", 16, 7, 1, 44100, 44100, 1, 8)
-        data_chunk = b"data" + struct.pack("<I", len(payload))
-        path.write_bytes(header + fmt_chunk + data_chunk + payload)
-        with pytest.raises(ds.AudioDecodeError, match="unsupported codec"):
-            ds.read_wav(path)
-
-    def test_zero_hertz_fmt_chunk_rejected(self, tmp_path):
-        path = tmp_path / "z.wav"
-        path.write_bytes(riff_wav(b"\x00" * 8, rate=0))
-        with pytest.raises(ds.AudioDecodeError, match="0 Hz .* fmt chunk at byte 20") as info:
+        path.write_bytes(blob)
+        with pytest.raises(ds.AudioDecodeError, match=f"{codec} in fmt chunk at byte 20") as info:
             ds.read_wav(path)
         assert str(path) in str(info.value)
 
-    # an empty data chunk is rejected at every rate, before the resampler sees it
+    @pytest.mark.parametrize("rate", [0, 8, 22050, 48000])
+    def test_rate_other_than_44100_rejected(self, tmp_path, rate):
+        path = tmp_path / "z.wav"
+        path.write_bytes(riff_wav(b"\x00" * 8, rate=rate))
+        with pytest.raises(ds.AudioDecodeError, match=f" {rate} Hz .*fmt chunk at byte 20") as info:
+            ds.read_wav(path)
+        assert str(path) in str(info.value)
+
+    # the data chunk is checked before the rate, so an empty one names itself
+    # at any rate
     @pytest.mark.parametrize("rate", [22050, SAMPLE_RATE])
     def test_empty_data_chunk_rejected(self, tmp_path, rate):
         path = tmp_path / "empty.wav"
@@ -182,6 +179,80 @@ class TestReadWav:
         with pytest.raises(ds.AudioDecodeError, match=message) as info:
             ds.read_wav(path)
         assert str(path) in str(info.value)
+
+
+# The child decodes seeded mutants of a mono and a stereo PCM16 WAV, mostly
+# in the 44 header bytes, under a 2 GiB address-space cap, and prints how many
+# decoded and how many raised AudioDecodeError. A decode must hold finite
+# samples, no more of them than the file has bytes, and come from a file that
+# declares 44100 Hz. Any other outcome exits nonzero, naming the case.
+_MUTATION_CHILD = """
+import random, resource, struct, sys
+from pathlib import Path
+import numpy as np
+from esckit import dataset as ds
+
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+seed, count, work = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+bases = [Path(work, name).read_bytes() for name in ("mono.wav", "stereo.wav")]
+fields = {4: "<I", 16: "<I", 20: "<H", 22: "<H", 24: "<I", 28: "<I", 32: "<H", 34: "<H",
+          40: "<I"}
+values = [0, 1, 2, 8, 16, 32, 22050, 44100, 48000, 0xFFFF, 0x7FFFFFFF, 0xFFFFFFFF]
+rng = random.Random(seed)
+decoded = rejected = 0
+failures = []
+for case in range(count):
+    blob = bytearray(bases[case % 2])
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.7:
+            at = rng.randrange(44) if rng.random() < 0.8 else rng.randrange(len(blob))
+            blob[at] = rng.randrange(256)
+        else:
+            at, fmt = rng.choice(list(fields.items()))
+            value = rng.choice(values) % (1 << 8 * struct.calcsize(fmt))
+            struct.pack_into(fmt, blob, at, value)
+    end = rng.random()
+    if end < 0.1:
+        del blob[rng.randrange(len(blob)):]
+    elif end < 0.15:
+        blob += bytes(rng.randrange(256) for _ in range(rng.randrange(1, 9)))
+    path = Path(work, "case.wav")
+    path.write_bytes(blob)
+    try:
+        clip = ds.read_wav(path)
+    except ds.AudioDecodeError:
+        rejected += 1
+        continue
+    except Exception as exc:
+        failures.append(f"case {case}: {type(exc).__name__}: {exc}")
+        continue
+    decoded += 1
+    fmt_at = ds._find_chunks(bytes(blob), path)[b"fmt "][0]
+    (rate,) = struct.unpack_from("<I", blob, fmt_at + 4)
+    if rate != 44100 or clip.sample_rate != 44100:
+        failures.append(f"case {case}: decoded at a declared {rate} Hz")
+    if clip.samples.size > len(blob) // 2 or not np.isfinite(clip.samples).all():
+        failures.append(f"case {case}: {clip.samples.size} samples from {len(blob)} bytes, "
+                        f"finite: {np.isfinite(clip.samples).all()}")
+if failures:
+    sys.exit("\\n".join(failures))
+print(decoded, rejected)
+"""
+
+
+def test_mutated_wav_decodes_finite_at_44100_or_is_rejected(tmp_path):
+    rng = np.random.default_rng(6)
+    write_wav(tmp_path / "mono.wav", rng.integers(-32768, 32768, 400))
+    write_wav(tmp_path / "stereo.wav", rng.integers(-32768, 32768, (200, 2)))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env_path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    # one BLAS thread keeps numpy's own reservations far below the cap
+    env = dict(os.environ, PYTHONPATH=env_path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", _MUTATION_CHILD, "0", "400", str(tmp_path)],
+                            capture_output=True, text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr[-4000:]
+    decoded, rejected = map(int, result.stdout.split())
+    assert decoded + rejected == 400 and decoded > 0 and rejected > 0, (decoded, rejected)
 
 
 def random_segments(n, rng, augmented=False):
