@@ -28,31 +28,22 @@ from .features import _FRAME_BLOCK
 
 PV_WINDOW = 1024
 PV_HOP = 256
+MIXUP_ALPHA = 0.2
+STRETCH_RANGE = (0.8, 1.3)
+SHIFT_RANGE_SEMITONES = (-3.5, 3.5)
 
 
 @dataclass
 class AugmentConfig:
-    stretch_range: tuple = (0.8, 1.3)
-    shift_range_semitones: tuple = (-3.5, 3.5)
     copies_per_clip: int = 2
-    mixup_alpha: float = 0.2
     mixup_enabled: bool = True
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("stretch_range", "shift_range_semitones"):
-            r = getattr(self, name)
-            if not isinstance(r, tuple) or len(r) != 2 or not r[0] <= r[1]:
-                raise ValueError(f"{name} must be a (lo, hi) pair with lo <= hi, got {r!r}")
-        if not self.stretch_range[0] > 0:
-            raise ValueError(f"stretch_range must be positive, got {self.stretch_range!r}")
         if self.copies_per_clip < 0:
             raise ValueError(f"copies_per_clip must be >= 0, got {self.copies_per_clip}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if self.mixup_enabled and not self.mixup_alpha > 0:
-            raise ValueError(f"mixup_alpha must be > 0 while mixup_enabled, "
-                             f"got {self.mixup_alpha}")
 
 
 def _istft(spectra, n_frames):
@@ -176,9 +167,9 @@ def _stretch(analysis, rate):
     return _istft(spectra(), i.size)
 
 
-def _shift(analysis, n, semitones, valid_range):
+def _shift(analysis, n, semitones):
     """Pitch shift of an _analyse result, resampled to n samples."""
-    lo, hi = valid_range
+    lo, hi = SHIFT_RANGE_SEMITONES
     if not lo <= semitones <= hi:
         raise ValueError(f"pitch shift {semitones} outside [{lo}, {hi}] semitones")
     y = _stretch(analysis, 2.0 ** (-semitones / 12.0))
@@ -190,14 +181,14 @@ def time_stretch(clip, rate):
     return replace(clip, samples=_stretch(_analyse(clip), rate))
 
 
-def pitch_shift(clip, semitones, valid_range=(-3.5, 3.5)):
+def pitch_shift(clip, semitones):
     """Shift pitch by 2^(semitones/12) while keeping the duration.
 
     Realized as a time stretch by 2^(-semitones/12) followed by linear
     resampling back to the original sample count.
     """
     n = np.asarray(clip.samples).size
-    return replace(clip, samples=_shift(_analyse(clip), n, semitones, valid_range))
+    return replace(clip, samples=_shift(_analyse(clip), n, semitones))
 
 
 def mix_batch(xb, yb, alpha, rng):
@@ -246,8 +237,8 @@ def augment_clip(clip, config, rng):
     """Generate waveform-augmented copies of one clip.
 
     Even copies are time-stretched, odd copies pitch-shifted, with factors
-    drawn uniformly from the configured ranges. The clip is analysed once and
-    every copy is resynthesized from that analysis.
+    drawn uniformly from STRETCH_RANGE and SHIFT_RANGE_SEMITONES. The clip is
+    analysed once and every copy is resynthesized from that analysis.
     """
     if config.copies_per_clip <= 0:
         return []
@@ -256,9 +247,8 @@ def augment_clip(clip, config, rng):
     out = []
     for c in range(config.copies_per_clip):
         if c % 2 == 0:
-            samples = _stretch(analysis, rng.uniform(*config.stretch_range))
+            samples = _stretch(analysis, rng.uniform(*STRETCH_RANGE))
         else:
-            samples = _shift(analysis, n, rng.uniform(*config.shift_range_semitones),
-                             config.shift_range_semitones)
+            samples = _shift(analysis, n, rng.uniform(*SHIFT_RANGE_SEMITONES))
         out.append(replace(clip, samples=samples))
     return out

@@ -102,7 +102,8 @@ def _read_container(path, magic, versions, read_header, error, record_shape=None
     the file. ``read_header(read, version)`` returns ``(header, values shape)``,
     where ``read(n)`` gives the next ``n`` bytes. With ``record_shape`` every
     record's values are a row of one C-contiguous ``(count, *record_shape)``
-    float32 array; otherwise each record has its own array."""
+    float32 array; otherwise each record has its own array. A non-finite value
+    is an ``error``."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -146,6 +147,10 @@ def _read_container(path, magic, versions, read_header, error, record_shape=None
                                 f"whose nonzero dims span more than the {size}-byte file")
                 values = np.empty(shape, dtype="<f4") if store is None else store[i]
                 fh.readinto(values.reshape(-1).view(np.uint8))
+                if not np.isfinite(values).all():
+                    bad = np.flatnonzero(~np.isfinite(values))[0]
+                    raise error(f"record {i} holds {values.flat[bad]} at byte "
+                                f"{fh.tell() - 4 * (values.size - bad)}; values must be finite")
                 records.append((name, header, values))
         except struct.error as exc:
             raise error(f"truncated {magic.decode()} file at byte {fh.tell()}: {exc}") from exc

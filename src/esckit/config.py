@@ -6,15 +6,23 @@ the section's dataclass is a key. Unknown keys are rejected so typos fail
 fast; keys starting with ``manifest.`` are ignored, which lets a run manifest
 double as a config file. ``train.seed`` and ``augment.rng_seed`` default to
 ``run.seed`` unless set explicitly.
+
+A key of ``RETIRED_KEYS`` names a protocol value that is now a constant; so
+that older manifests parse, it is accepted at that value only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .augment import AugmentConfig
+from .augment import MIXUP_ALPHA, SHIFT_RANGE_SEMITONES, STRETCH_RANGE, AugmentConfig
 from .model import ACRNNConfig
-from .train import TrainConfig
+from .train import L2_COEFF, LR_DECAY_FACTOR, MOMENTUM, TrainConfig
+
+RETIRED_KEYS = {"train.lr_decay_factor": LR_DECAY_FACTOR, "train.momentum": MOMENTUM,
+                "train.l2_coeff": L2_COEFF, "augment.stretch_range": STRETCH_RANGE,
+                "augment.shift_range_semitones": SHIFT_RANGE_SEMITONES,
+                "augment.mixup_alpha": MIXUP_ALPHA, "model.rnn_attention_form": "mlp"}
 
 
 class ConfigError(ValueError):
@@ -84,6 +92,12 @@ def parse_config(text):
         key, _, raw = stripped.partition("=")
         key = key.strip()
         if key.startswith("manifest."):
+            continue
+        if key in RETIRED_KEYS:
+            fixed = RETIRED_KEYS[key]
+            if _coerce(raw, fixed, key) != fixed:
+                raise ConfigError(f"line {line_no}: {key} is fixed at {fixed!r}, "
+                                  f"got {raw.strip()!r}")
             continue
         section, _, name = key.partition(".")
         if not name:

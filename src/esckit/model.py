@@ -37,15 +37,11 @@ class ACRNNConfig:
     dropout_p: float = 0.5
     input_bands: int = 128
     input_frames: int = 128
-    rnn_attention_form: str = "mlp"  # "mlp" (tanh hidden layer) or "linear" score
 
     def __post_init__(self):
         if self.attention_placement not in PLACEMENTS:
             raise ValueError(f"attention_placement must be one of {PLACEMENTS}, "
                              f"got {self.attention_placement!r}")
-        if self.rnn_attention_form not in ("mlp", "linear"):
-            raise ValueError(f"rnn_attention_form must be 'mlp' or 'linear', "
-                             f"got {self.rnn_attention_form!r}")
         if len(self.conv_channels) != 8:
             raise ValueError(f"conv_channels needs 8 entries, got {len(self.conv_channels)}")
         if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in self.conv_channels):
@@ -127,12 +123,10 @@ def build(config, seed=0, dtype=np.float32):
     placement = config.attention_placement
     if placement in ("l2", "l4", "l6", "l8"):
         declare("att.kernel", (3, 3, config.conv_channels[int(placement[1:]) - 1], 1))
-    elif placement == "l10" and config.rnn_attention_form == "mlp":
+    elif placement == "l10":
         declare("att.w1", (2 * hidden, hidden))
         declare("att.b1", hidden, weight=False)
         declare("att.ctx", hidden)
-    elif placement == "l10":
-        declare("att.w", 2 * hidden)
 
     declare("fc.weight", (2 * hidden, config.num_classes))
     declare("fc.bias", config.num_classes, weight=False)
@@ -158,13 +152,10 @@ def cnn_attention(m, kernel):
 
 
 def rnn_attention_weights(h, params):
-    """Softmax frame weights over a GRU output sequence (..., T, 2H)."""
-    cfg = params.config
-    if cfg.rnn_attention_form == "mlp":
-        u = ad.tanh(ad.dense(h, params.tensors["att.w1"], params.tensors["att.b1"]))
-        scores = ad.matmul(u, ad.reshape(params.tensors["att.ctx"], (-1, 1)))
-    else:
-        scores = ad.matmul(h, ad.reshape(params.tensors["att.w"], (-1, 1)))
+    """Softmax frame weights over a GRU output sequence (..., T, 2H): each
+    step's score is ctx . tanh(h_t W1 + b1)."""
+    u = ad.tanh(ad.dense(h, params.tensors["att.w1"], params.tensors["att.b1"]))
+    scores = ad.matmul(u, ad.reshape(params.tensors["att.ctx"], (-1, 1)))
     return ad.softmax(ad.reshape(scores, scores.shape[:-1]))
 
 

@@ -28,10 +28,15 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as acrnn
-from .augment import AugmentConfig, mix_batch
+from .augment import MIXUP_ALPHA, AugmentConfig, mix_batch
 from .cachefile import save_checkpoint, write_csv
 from .data import one_hot
 from .features import compute_norm_stats, normalize
+
+
+LR_DECAY_FACTOR = 10.0
+MOMENTUM = 0.9
+L2_COEFF = 1e-4
 
 
 class LeakageError(ValueError):
@@ -43,10 +48,7 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 300
     lr0: float = 0.01
-    lr_decay_factor: float = 10.0
     lr_decay_every: int = 100
-    momentum: float = 0.9
-    l2_coeff: float = 1e-4
     seed: int = 0
     augmentation: AugmentConfig = field(default_factory=AugmentConfig)
 
@@ -54,12 +56,8 @@ class TrainConfig:
         for name in ("batch_size", "epochs", "lr_decay_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("lr0", "momentum", "l2_coeff"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not self.lr_decay_factor > 0:
-            raise ValueError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
+        if not (np.isfinite(self.lr0) and self.lr0 >= 0):
+            raise ValueError(f"lr0 must be finite and >= 0, got {self.lr0}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -100,7 +98,6 @@ class OptimizerState:
 @dataclass
 class TrainResult:
     params: acrnn.ModelParams
-    best_state: dict
     final_state: dict
     history: TrainHistory
     norm_stats: object
@@ -112,13 +109,13 @@ class TrainResult:
 
 
 def lr_schedule(epoch, config):
-    """lr0 divided by the decay factor once per decay interval."""
+    """lr0 divided by LR_DECAY_FACTOR once per decay interval."""
     if not 0 <= epoch < config.epochs:
         raise ValueError(f"epoch {epoch} outside [0, {config.epochs})")
-    return config.lr0 / config.lr_decay_factor ** (epoch // config.lr_decay_every)
+    return config.lr0 / LR_DECAY_FACTOR ** (epoch // config.lr_decay_every)
 
 
-def sgd_nesterov_step(params, state, lr, momentum=0.9, l2_coeff=1e-4):
+def sgd_nesterov_step(params, state, lr, momentum=MOMENTUM, l2_coeff=L2_COEFF):
     """One lookahead-applied Nesterov update.
 
     With g' = grad + l2_coeff * w (weight tensors only; biases and batch-norm
@@ -169,7 +166,7 @@ def split_fold(dataset, fold, copies_per_clip=0):
     return training, clips, [segs[0].label for segs in clips], held_out_ids
 
 
-def _train_step(params, opt, xb, yb, lr, config, rng):
+def _train_step(params, opt, xb, yb, lr, rng):
     """One SGD step on a batch: (loss, predicted class per row). The step's
     graph is unreachable once this returns, so it is freed before the next
     step's forward builds another."""
@@ -177,7 +174,7 @@ def _train_step(params, opt, xb, yb, lr, config, rng):
     loss = ad.cross_entropy(probs, ad.Tensor(yb))
     _zero_grads(params)
     loss.backward()
-    sgd_nesterov_step(params, opt, lr, config.momentum, config.l2_coeff)
+    sgd_nesterov_step(params, opt, lr)
     return loss.item(), probs.data.argmax(axis=1)
 
 
@@ -221,9 +218,8 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
     Augmented segments of training folds are used when the augment config
     enables them; the held-out fold contributes only raw segments, and only to
     the per-epoch validation metric (clip-level accuracy under the segment
-    probability averaging rule). Best-validation and final parameter states
-    are both kept, and written as ckpt_best / ckpt_final when out_dir is set.
-    Training accuracy is measured against the pre-mixup labels.
+    probability averaging rule). The final state is written as ckpt_final
+    when out_dir is set. Training accuracy is against the pre-mixup labels.
     """
     segments, val_clips, val_truths, held_out_ids = split_fold(
         dataset, held_out_fold, config.augmentation.copies_per_clip)
@@ -248,9 +244,7 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
     rng_mixup = np.random.default_rng(np.random.SeedSequence([seed, 3]))
 
     mixup_on = config.augmentation.mixup_enabled
-    alpha = config.augmentation.mixup_alpha
     history = TrainHistory()
-    best_acc, best_state = -1.0, None
     contributing = set()
 
     for epoch in range(config.epochs):
@@ -264,8 +258,8 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
             xb = normalize([s.values for s in batch_segments], stats)
             yb = one_hot(labels[idx], k)
             if mixup_on:
-                mix_batch(xb, yb, alpha, rng_mixup)
-            loss, predicted = _train_step(params, opt, xb, yb, lr, config, rng_dropout)
+                mix_batch(xb, yb, MIXUP_ALPHA, rng_mixup)
+            loss, predicted = _train_step(params, opt, xb, yb, lr, rng_dropout)
             loss_sum += loss * len(idx)
             correct += int((predicted == labels[idx]).sum())
             seen += len(idx)
@@ -283,18 +277,12 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
         history.rows.append(HistoryRow(
             epoch=epoch, lr=lr, train_loss=loss_sum / seen, train_acc=correct / seen,
             val_acc=val_acc, seconds=time.time() - t0))
-        if val_clips and val_acc > best_acc:
-            best_acc = val_acc
-            best_state = acrnn.state_arrays(params)
 
     final_state = acrnn.state_arrays(params)
-    if best_state is None:
-        best_state = final_state
     if out_dir is not None:
-        save_checkpoint(os.path.join(out_dir, "ckpt_best"), best_state)
         save_checkpoint(os.path.join(out_dir, "ckpt_final"), final_state)
         history.to_csv(os.path.join(out_dir, "history.csv"))
-    return TrainResult(params=params, best_state=best_state, final_state=final_state,
+    return TrainResult(params=params, final_state=final_state,
                        history=history, norm_stats=stats, steps_per_epoch=steps_per_epoch,
                        contributing_clip_ids=contributing, stats_clip_ids=stats_clip_ids,
                        val_predictions=val_predictions, val_truths=val_truths)

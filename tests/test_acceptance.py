@@ -272,13 +272,12 @@ def test_criterion_8_reproducibility(tmp_path):
                          "--report", str(report)]) == 0
         outputs[run] = {
             "cache": (root / "cache.lgt").read_bytes(),
-            "ckpt_best": (root / "out" / "ckpt_best").read_bytes(),
             "ckpt_final": (root / "out" / "ckpt_final").read_bytes(),
             "report": report.read_bytes(),
         }
     for name in outputs["one"]:
         assert outputs["one"][name] == outputs["two"][name], f"{name} differs between runs"
-    print("\n[criterion 8] PASS - cache, both checkpoints, and the eval report are "
+    print("\n[criterion 8] PASS - cache, checkpoint, and the eval report are "
           "bitwise identical across two seeded end-to-end runs")
 
 

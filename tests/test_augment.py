@@ -166,10 +166,9 @@ class TestVocoderMatchesReferenceLoop:
         want = []
         for c in range(config.copies_per_clip):
             if c % 2 == 0:
-                want.append(aug.time_stretch(clip, rng.uniform(*config.stretch_range)))
+                want.append(aug.time_stretch(clip, rng.uniform(*aug.STRETCH_RANGE)))
             else:
-                want.append(aug.pitch_shift(clip, rng.uniform(*config.shift_range_semitones),
-                                            valid_range=config.shift_range_semitones))
+                want.append(aug.pitch_shift(clip, rng.uniform(*aug.SHIFT_RANGE_SEMITONES)))
         assert len(copies) == len(want)
         for got, ref in zip(copies, want):
             assert got.samples.tobytes() == ref.samples.tobytes()
@@ -362,8 +361,9 @@ class TestPitchShift:
             assert abs(ratio - 2.0 ** (semis / 12.0)) <= 0.05
 
     def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            aug.pitch_shift(sine_clip(), 4.0)
+        for semitones in (4.0, -3.6):
+            with pytest.raises(ValueError, match=r"outside \[-3.5, 3.5\] semitones"):
+                aug.pitch_shift(sine_clip(), semitones)
 
 
 class TestMixup:

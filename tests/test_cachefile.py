@@ -18,6 +18,7 @@ from esckit import evaluate as ev
 from esckit.config import RunConfig
 from esckit.features import LogGTSegment
 from esckit.train import HistoryRow, TrainHistory
+from test_dataset import run_mutations
 
 SRC = Path(cf.__file__).parent
 
@@ -257,6 +258,80 @@ class TestStreamedReader:
         assert [a.shape for a in loaded.values()] == [(), (2, 3, 4, 5)]
         assert all(loaded[k].tobytes() == np.asarray(v).tobytes() for k, v in state.items())
         assert not np.shares_memory(loaded["scale"], loaded["kernel"])
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_cache_record_with_a_non_finite_value_is_a_format_error(self, value, tmp_path):
+        segments = list(_segments(3))
+        segments[1].values[5, 0, 1] = value
+        path = tmp_path / "c.lgt"
+        cf.write_cache(path, segments)
+        # record 1's values start after the header, record 0 and its own
+        # 2 + 6 name bytes and 13 header bytes; (5, 0, 1) is value 5 * 256 + 1
+        at = 12 + (2 + 6 + 13 + 128 * 128 * 2 * 4) + 2 + 6 + 13 + 4 * (5 * 256 + 1)
+        with pytest.raises(cf.CacheFormatError, match=rf"record 1 holds {value} at byte {at};"):
+            cf.read_cache(path)
+
+    def test_checkpoint_of_a_diverged_run_does_not_load(self, tmp_path):
+        state = OrderedDict([("w", np.ones((2, 3), np.float32)),
+                             ("b", np.array([0.0, np.nan], np.float32))])
+        path = tmp_path / "ckpt"
+        cf.save_checkpoint(path, state)
+        # "b"'s values start at byte 12 + (2 + 1 + 1 + 8 + 24) + (2 + 1 + 1 + 4)
+        with pytest.raises(cf.CheckpointFormatError, match="record 1 holds nan at byte 60;"):
+            cf.read_checkpoint(path)
+
+
+def container_fields(blob, records):
+    """{offset: struct format} of a container's version, count, each record's
+    name length and header fields, and the first and last of its values, with
+    the last value as a u32. ``records`` holds (name, header formats, value
+    count) per record."""
+    at, fields = 12, {4: "<I", 8: "<I"}
+    for name, header, size in records:
+        fields[at] = "<H"
+        at += 2 + len(name.encode("utf-8"))
+        for fmt in header:
+            fields[at] = fmt
+            at += struct.calcsize(fmt)
+        fields[at] = fields[at + 4 * size - 4] = "<I"
+        at += 4 * size
+    assert at == len(blob)
+    return fields
+
+
+# u32 patterns of +inf, -inf, a NaN and 1.0 among framing values
+CONTAINER_VALUES = [0, 1, 2, 3, 0xFFFF, 0x7FFFFFFF, 0xFFFFFFFF, 0x7F800000, 0xFF800000,
+                    0x7FC00000, 0x3F800000]
+
+
+def test_mutated_cache_decodes_finite_or_is_rejected(tmp_path):
+    rng = np.random.default_rng(7)
+    segments = [LogGTSegment(values=rng.standard_normal((128, 128, 2)).astype(np.float32),
+                             clip_id=clip_id, segment_index=i, label=i, fold=i + 1)
+                for i, clip_id in enumerate(("a.wav", "bb.wav"))]
+    cf.write_cache(tmp_path / "c.lgt", segments)
+    fields = container_fields((tmp_path / "c.lgt").read_bytes(),
+                              [(s.clip_id, ["<I", "<I", "<I", "<B"], s.values.size)
+                               for s in segments])
+    decoded, rejected = run_mutations("lgt", tmp_path, ["c.lgt"], 40, fields, CONTAINER_VALUES,
+                                      300)
+    assert decoded > 0 and rejected > 0, (decoded, rejected)
+
+
+def test_mutated_checkpoint_decodes_finite_or_is_rejected(tmp_path):
+    state = OrderedDict([("w", np.linspace(-1, 1, 6, dtype=np.float32).reshape(2, 3)),
+                         ("bias", np.full(3, 0.5, np.float32)),
+                         ("s", np.float32(2.0)),
+                         ("k", np.arange(4, dtype=np.float32).reshape(1, 2, 2))])
+    cf.save_checkpoint(tmp_path / "ckpt", state)
+    blob = (tmp_path / "ckpt").read_bytes()
+    fields = container_fields(blob, [(name, ["<B"] + ["<I"] * a.ndim, a.size)
+                                     for name, a in state.items()])
+    decoded, rejected = run_mutations("acrn", tmp_path, ["ckpt"], len(blob), fields,
+                                      CONTAINER_VALUES, 300)
+    assert decoded > 0 and rejected > 0, (decoded, rejected)
 
 
 # The child writes or reads the cache alone and prints its peak-RSS growth in

@@ -26,12 +26,14 @@ BAD_RUN_SETTINGS = [
     "train.epochs = -1",
     "train.lr0 = nan",
     "train.lr_decay_factor = 0",
+    "train.momentum = 0.8",
     "train.seed = -3",
     "augment.mixup_alpha = 0",
     "augment.rng_seed = -2",
     "model.dropout_p = 1.5",
     "model.input_bands = 16",
     "model.input_frames = 17",
+    "model.rnn_attention_form = linear",
 ]
 
 
@@ -45,8 +47,8 @@ data.cache = cache.lgt
 data.variant = esc10
 train.lr0 = 0.02
 train.epochs = 5
-augment.mixup_alpha = 0.4
-augment.stretch_range = 0.9,1.2
+augment.copies_per_clip = 1
+augment.mixup_enabled = off
 model.attention_placement = l2
 model.num_classes = 10
 model.conv_channels = 2,2,3,3,4,4,5,5
@@ -55,8 +57,7 @@ model.conv_channels = 2,2,3,3,4,4,5,5
         assert config.seed == 7 and config.out_dir == "out"
         assert config.cache == "cache.lgt" and config.variant == "esc10"
         assert config.train.lr0 == 0.02 and config.train.epochs == 5
-        assert config.augment.mixup_alpha == 0.4
-        assert config.augment.stretch_range == (0.9, 1.2)
+        assert config.augment.copies_per_clip == 1 and not config.augment.mixup_enabled
         assert config.model.attention_placement == "l2"
         assert config.model.conv_channels == (2, 2, 3, 3, 4, 4, 5, 5)
 
@@ -74,7 +75,7 @@ model.conv_channels = 2,2,3,3,4,4,5,5
     def test_unknown_key_rejected(self):
         with pytest.raises(cfg.ConfigError, match="train.lr_zero"):
             cfg.parse_config("train.lr_zero = 0.1\n")
-        # weight decay is train.l2_coeff alone; the model carries no copy of it
+        # weight decay is train.L2_COEFF alone; the model carries no copy of it
         with pytest.raises(cfg.ConfigError, match="model.l2_coeff"):
             cfg.parse_config("model.l2_coeff = 0\n")
         with pytest.raises(cfg.ConfigError, match="no section"):
@@ -138,7 +139,42 @@ model.conv_channels = 2,2,3,3,4,4,5,5
         dumped = cfg.dump_config(cfg.RunConfig())
         assert hashlib.sha256(dumped.encode()).hexdigest() == DEFAULT_DUMP_SHA256
         assert cfg.parse_config(dumped) == cfg.RunConfig()
+        assert hashlib.sha256(DEFAULT_DUMP_28_KEYS.encode()).hexdigest() == \
+               "f3fdab0f4b39fffe1a2486dac217b5e5cceb777471db00138dec35a5169d8956"
+        assert cfg.parse_config(DEFAULT_DUMP_28_KEYS) == cfg.RunConfig()
 
+    def test_default_dump_keys(self):
+        keys = [line.partition(" = ")[0]
+                for line in cfg.dump_config(cfg.RunConfig()).splitlines()]
+        assert keys == [
+            "data.meta_csv", "data.audio_dir", "data.cache", "data.variant",
+            "run.out_dir", "run.seed",
+            "train.batch_size", "train.epochs", "train.lr0", "train.lr_decay_every",
+            "train.seed",
+            "augment.copies_per_clip", "augment.mixup_enabled", "augment.rng_seed",
+            "model.num_classes", "model.attention_placement", "model.conv_channels",
+            "model.gru_hidden", "model.dropout_p", "model.input_bands", "model.input_frames",
+        ]
+        assert not set(keys) & set(cfg.RETIRED_KEYS)
+
+    # The fixed value is compared after coercion, so other spellings of it parse;
+    # the 28-key default dump above checks each key's own spelling.
+    @pytest.mark.parametrize("line, other", [
+        ("train.lr_decay_factor = 10", "5.0"),
+        ("train.momentum = 0.9", "0.8"),
+        ("train.l2_coeff = 1e-4", "0"),
+        ("augment.stretch_range = 0.80, 1.3", "1.3,0.8"),
+        ("augment.shift_range_semitones = -3.5,3.5", "-2,2.5"),
+        ("augment.mixup_alpha = 0.2", "0.4"),
+        ("model.rnn_attention_form = mlp", "linear"),
+    ])
+    def test_retired_key_parses_at_its_fixed_value_only(self, line, other):
+        key = line.partition(" = ")[0]
+        assert cfg.parse_config(line + "\n") == cfg.RunConfig()
+        with pytest.raises(cfg.ConfigError, match=f"{key} is fixed at .*, got '{other}'"):
+            cfg.parse_config(f"{key} = {other}\n")
+
+    # A range key is fixed now, so a malformed range is refused as not its value.
     @pytest.mark.parametrize("line", [
         "augment.stretch_range = 1.3",
         "augment.stretch_range = 1.3,0.8",
@@ -173,16 +209,6 @@ model.conv_channels = 2,2,3,3,4,4,5,5
         with pytest.raises(cfg.ConfigError, match=line.split(" = ")[0].split(".")[1]):
             cfg.parse_config(line + "\n")
 
-    def test_degenerate_ranges_accepted(self):
-        config = cfg.parse_config("augment.stretch_range = 1,1\n"
-                                  "augment.shift_range_semitones = 0,0\n"
-                                  "augment.copies_per_clip = 0\n"
-                                  "augment.mixup_alpha = 0\n"
-                                  "augment.mixup_enabled = false\n")
-        assert config.augment.stretch_range == (1, 1)
-        assert config.augment.shift_range_semitones == (0, 0)
-        assert config.augment.mixup_alpha == 0.0
-
 
 EVERY_KEY = """
 data.meta_csv = m.csv
@@ -194,15 +220,9 @@ run.seed = 7
 train.batch_size = 16
 train.epochs = 5
 train.lr0 = 0.02
-train.lr_decay_factor = 5.0
 train.lr_decay_every = 3
-train.momentum = 0.8
-train.l2_coeff = 0.001
 train.seed = 3
-augment.stretch_range = 0.9,1.2
-augment.shift_range_semitones = -2,2.5
 augment.copies_per_clip = 1
-augment.mixup_alpha = 0.4
 augment.mixup_enabled = false
 augment.rng_seed = 5
 model.num_classes = 10
@@ -212,10 +232,40 @@ model.gru_hidden = 8
 model.dropout_p = 0.25
 model.input_bands = 64
 model.input_frames = 32
-model.rnn_attention_form = linear
 """
-EVERY_KEY_DUMP_SHA256 = "82dab7aeb0460a3b85110d425e72022c59ea6b4999dac2c072ac88209783fcc4"
-DEFAULT_DUMP_SHA256 = "f3fdab0f4b39fffe1a2486dac217b5e5cceb777471db00138dec35a5169d8956"
+EVERY_KEY_DUMP_SHA256 = "faa8fb2a7fc16d1ed3fe11fb4ca5bc384b3156c291dea172688170d49b5fec59"
+DEFAULT_DUMP_SHA256 = "adf17d7b21c70cdc68c576ae758fd577e65ab46fb5e68f3ff14df4f997b64438"
+# The default manifest text from before seven protocol values became constants.
+DEFAULT_DUMP_28_KEYS = (
+    "data.meta_csv = \n"
+    "data.audio_dir = \n"
+    "data.cache = \n"
+    "data.variant = esc50\n"
+    "run.out_dir = runs\n"
+    "run.seed = 0\n"
+    "train.batch_size = 64\n"
+    "train.epochs = 300\n"
+    "train.lr0 = 0.01\n"
+    "train.lr_decay_factor = 10.0\n"
+    "train.lr_decay_every = 100\n"
+    "train.momentum = 0.9\n"
+    "train.l2_coeff = 0.0001\n"
+    "train.seed = 0\n"
+    "augment.stretch_range = 0.8,1.3\n"
+    "augment.shift_range_semitones = -3.5,3.5\n"
+    "augment.copies_per_clip = 2\n"
+    "augment.mixup_alpha = 0.2\n"
+    "augment.mixup_enabled = True\n"
+    "augment.rng_seed = 0\n"
+    "model.num_classes = 50\n"
+    "model.attention_placement = l10\n"
+    "model.conv_channels = 32,32,64,64,128,128,256,256\n"
+    "model.gru_hidden = 256\n"
+    "model.dropout_p = 0.5\n"
+    "model.input_bands = 128\n"
+    "model.input_frames = 128\n"
+    "model.rnn_attention_form = mlp\n"
+)
 
 
 def build_audio_tree(tmp_path, n_clips=6, n_folds=2, seconds=1.6):
@@ -277,7 +327,7 @@ class TestCli:
 
         assert cli.main(["train", "--config", str(config_path), "--fold", "2"]) == 0
         out = tmp_path / "out"
-        assert (out / "ckpt_best").exists() and (out / "ckpt_final").exists()
+        assert (out / "ckpt_final").exists() and not (out / "ckpt_best").exists()
         assert (out / "history.csv").read_text().startswith("epoch,lr,train_loss")
         assert (out / "manifest").exists()
 
@@ -445,7 +495,14 @@ class TestCli:
             assert "no fold" in capsys.readouterr().err, argv[0]
         assert not (tmp_path / "out" / "report.csv").exists() and not report.exists()
 
-    def test_bad_cache_is_validation_error(self, tmp_path):
+    def test_bad_cache_is_validation_error(self, tmp_path, capsys):
         config_path = build_audio_tree(tmp_path)
         (tmp_path / "cache.lgt").write_bytes(b"garbage header")
         assert cli.main(["train", "--config", str(config_path), "--fold", "1"]) == 1
+        assert cli.main(["extract", "--config", str(config_path)]) == 0
+        segments = read_cache(tmp_path / "cache.lgt")
+        segments[2].values[0, 0, 0] = np.nan
+        write_cache(tmp_path / "cache.lgt", segments)
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(config_path), "--fold", "1"]) == 1
+        assert "record 2 holds nan at byte " in capsys.readouterr().err

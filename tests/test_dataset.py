@@ -1,7 +1,9 @@
+import json
 import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,25 +189,30 @@ class TestReadWav:
 # samples, no more of them than the file has bytes, and come from a file that
 # declares 44100 Hz. Any other outcome exits nonzero, naming the case.
 _MUTATION_CHILD = """
-import random, resource, struct, sys
+import json, random, resource, struct, sys
 from pathlib import Path
 import numpy as np
-from esckit import dataset as ds
+from esckit import cachefile as cf, dataset as ds
 
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-seed, count, work = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
-bases = [Path(work, name).read_bytes() for name in ("mono.wav", "stereo.wav")]
-fields = {4: "<I", 16: "<I", 20: "<H", 22: "<H", 24: "<I", 28: "<I", 32: "<H", 34: "<H",
-          40: "<I"}
-values = [0, 1, 2, 8, 16, 32, 22050, 44100, 48000, 0xFFFF, 0x7FFFFFFF, 0xFFFFFFFF]
+kind, seed, count, work = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+spec = json.loads(Path(work, "spec.json").read_text())
+bases = [Path(work, name).read_bytes() for name in spec["bases"]]
+fields = {int(at): fmt for at, fmt in spec["fields"]}
+values = spec["values"]
+read, error = {
+    "wav": (ds.read_wav, ds.AudioDecodeError),
+    "lgt": (lambda p: [s.values for s in cf.read_cache(p)], cf.CacheFormatError),
+    "acrn": (lambda p: list(cf.read_checkpoint(p).values()), cf.CheckpointFormatError),
+}[kind]
 rng = random.Random(seed)
 decoded = rejected = 0
 failures = []
 for case in range(count):
-    blob = bytearray(bases[case % 2])
+    blob = bytearray(bases[case % len(bases)])
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.7:
-            at = rng.randrange(44) if rng.random() < 0.8 else rng.randrange(len(blob))
+            at = rng.randrange(spec["head"]) if rng.random() < 0.8 else rng.randrange(len(blob))
             blob[at] = rng.randrange(256)
         else:
             at, fmt = rng.choice(list(fields.items()))
@@ -216,43 +223,69 @@ for case in range(count):
         del blob[rng.randrange(len(blob)):]
     elif end < 0.15:
         blob += bytes(rng.randrange(256) for _ in range(rng.randrange(1, 9)))
-    path = Path(work, "case.wav")
+    path = Path(work, "case")
     path.write_bytes(blob)
     try:
-        clip = ds.read_wav(path)
-    except ds.AudioDecodeError:
+        out = read(path)
+    except error:
         rejected += 1
         continue
     except Exception as exc:
         failures.append(f"case {case}: {type(exc).__name__}: {exc}")
         continue
     decoded += 1
+    if kind != "wav":
+        if not all(np.isfinite(a).all() for a in out):
+            failures.append(f"case {case}: decoded a non-finite value")
+        continue
     fmt_at = ds._find_chunks(bytes(blob), path)[b"fmt "][0]
     (rate,) = struct.unpack_from("<I", blob, fmt_at + 4)
-    if rate != 44100 or clip.sample_rate != 44100:
+    if rate != 44100 or out.sample_rate != 44100:
         failures.append(f"case {case}: decoded at a declared {rate} Hz")
-    if clip.samples.size > len(blob) // 2 or not np.isfinite(clip.samples).all():
-        failures.append(f"case {case}: {clip.samples.size} samples from {len(blob)} bytes, "
-                        f"finite: {np.isfinite(clip.samples).all()}")
+    if out.samples.size > len(blob) // 2 or not np.isfinite(out.samples).all():
+        failures.append(f"case {case}: {out.samples.size} samples from {len(blob)} bytes, "
+                        f"finite: {np.isfinite(out.samples).all()}")
 if failures:
     sys.exit("\\n".join(failures))
 print(decoded, rejected)
 """
 
 
-def test_mutated_wav_decodes_finite_at_44100_or_is_rejected(tmp_path):
-    rng = np.random.default_rng(6)
-    write_wav(tmp_path / "mono.wav", rng.integers(-32768, 32768, 400))
-    write_wav(tmp_path / "stereo.wav", rng.integers(-32768, 32768, (200, 2)))
+def run_mutations(kind, work, bases, head, fields, values, count, seed=0):
+    """Decode ``count`` seeded mutants of the ``bases`` files in ``work`` in one
+    child process whose address space is capped at 2 GiB; returns (decoded,
+    rejected).
+
+    A mutant sets 1 to 3 random bytes, mostly in the first ``head`` bytes, or
+    writes one of ``values`` into a field of ``fields`` ({offset: struct
+    format}); one in ten is then truncated and one in twenty padded. The
+    child fails on any exception but the format's own error, and on a
+    decoded value that is not finite (for WAV, also on a rate other than
+    44.1 kHz or more samples than the file's size allows)."""
+    Path(work, "spec.json").write_text(json.dumps(
+        {"bases": bases, "head": head, "fields": list(fields.items()), "values": values}))
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env_path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     # one BLAS thread keeps numpy's own reservations far below the cap
     env = dict(os.environ, PYTHONPATH=env_path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    result = subprocess.run([sys.executable, "-c", _MUTATION_CHILD, "0", "400", str(tmp_path)],
-                            capture_output=True, text=True, timeout=120, env=env)
+    result = subprocess.run([sys.executable, "-c", _MUTATION_CHILD, kind, str(seed), str(count),
+                             str(work)], capture_output=True, text=True, timeout=120, env=env)
     assert result.returncode == 0, result.stderr[-4000:]
     decoded, rejected = map(int, result.stdout.split())
-    assert decoded + rejected == 400 and decoded > 0 and rejected > 0, (decoded, rejected)
+    assert decoded + rejected == count
+    return decoded, rejected
+
+
+def test_mutated_wav_decodes_finite_at_44100_or_is_rejected(tmp_path):
+    rng = np.random.default_rng(6)
+    write_wav(tmp_path / "mono.wav", rng.integers(-32768, 32768, 400))
+    write_wav(tmp_path / "stereo.wav", rng.integers(-32768, 32768, (200, 2)))
+    fields = {4: "<I", 16: "<I", 20: "<H", 22: "<H", 24: "<I", 28: "<I", 32: "<H", 34: "<H",
+              40: "<I"}
+    values = [0, 1, 2, 8, 16, 32, 22050, 44100, 48000, 0xFFFF, 0x7FFFFFFF, 0xFFFFFFFF]
+    decoded, rejected = run_mutations("wav", tmp_path, ["mono.wav", "stereo.wav"], 44, fields,
+                                      values, 400)
+    assert decoded > 0 and rejected > 0, (decoded, rejected)
 
 
 def random_segments(n, rng, augmented=False):

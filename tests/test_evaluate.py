@@ -209,9 +209,8 @@ class TestCrossValidate:
             epochs=2, seed=4, augmentation=AugmentConfig(copies_per_clip=1, mixup_enabled=True))
         ev.cross_validate(dataset, config, tiny_model_config(), out_dir=tmp_path / "cv")
         train(dataset, config, tiny_model_config(), held_out_fold=3, out_dir=tmp_path / "train")
-        for name in ("ckpt_final", "ckpt_best"):
-            assert (tmp_path / "train" / name).read_bytes() == \
-                   (tmp_path / "cv" / "fold3" / name).read_bytes(), name
+        assert (tmp_path / "train" / "ckpt_final").read_bytes() == \
+               (tmp_path / "cv" / "fold3" / "ckpt_final").read_bytes()
         # every history column except physical wall-clock time matches
         strip = lambda path: [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
         assert strip(tmp_path / "train" / "history.csv") == \

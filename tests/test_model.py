@@ -72,11 +72,9 @@ class TestBuild:
         assert params.tensors["conv8.kernel"].shape[-1] == 5
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("form", ["mlp", "linear"])
     @pytest.mark.parametrize("placement", acrnn.PLACEMENTS)
-    def test_weights_are_one_seeded_stream_and_the_rest_starts_fixed(self, placement, form,
-                                                                     dtype):
-        config = tiny_config(attention_placement=placement, rnn_attention_form=form)
+    def test_weights_are_one_seeded_stream_and_the_rest_starts_fixed(self, placement, dtype):
+        config = tiny_config(attention_placement=placement)
         params = acrnn.build(config, seed=11, dtype=dtype)
         fixed = [name for name in params.tensors
                  if name.endswith((".b", ".b1", ".bias", ".gamma", ".beta"))]
@@ -188,8 +186,8 @@ class TestCnnAttention:
 
 
 class TestRnnAttention:
-    def _params(self, form="mlp", hidden=2, seed=6):
-        cfg = tiny_config(gru_hidden=hidden, rnn_attention_form=form)
+    def _params(self, hidden=2, seed=6):
+        cfg = tiny_config(gru_hidden=hidden)
         return acrnn.build(cfg, seed=seed)
 
     def test_single_step_returns_that_step(self):
@@ -220,14 +218,12 @@ class TestRnnAttention:
         assert np.allclose(beta, beta_direct, atol=1e-6)
         assert np.allclose(v, v_direct, atol=1e-6)
 
-    def test_weights_sum_to_one_both_forms(self):
-        rng = np.random.default_rng(9)
-        for form in ("mlp", "linear"):
-            params = self._params(form=form)
-            h = Tensor(rng.standard_normal((2, 7, 4)).astype(np.float32))
-            beta = acrnn.rnn_attention_weights(h, params).data
-            assert beta.shape == (2, 7)
-            assert np.allclose(beta.sum(axis=1), 1.0, atol=1e-6)
+    def test_weights_sum_to_one(self):
+        params = self._params()
+        h = Tensor(np.random.default_rng(9).standard_normal((2, 7, 4)).astype(np.float32))
+        beta = acrnn.rnn_attention_weights(h, params).data
+        assert beta.shape == (2, 7)
+        assert np.allclose(beta.sum(axis=1), 1.0, atol=1e-6)
 
     def test_pooling_is_permutation_invariant_over_steps(self):
         # v = sum_t beta_t h_t with beta_t a function of h_t alone, so jointly
