@@ -34,6 +34,7 @@ that the block is tested against, and no train or infer step calls them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -403,11 +404,15 @@ def _band_views(src, kf, nb, s, tp, count):
     return [_super_rows(src, a * tp + j * s, s, count) for a in range(kf) for j in range(nb)]
 
 
+@functools.lru_cache(maxsize=None)
 def _band_taps(kt, s, dtype):
     """One-hot (nb, s, s, kt) map from (band j, input slot r, output slot o) to
-    the kernel column b = j*s + r - o it applies; nb = ceil((s + kt - 1) / s)."""
+    the kernel column b = j*s + r - o it applies; nb = ceil((s + kt - 1) / s).
+    Built once per key and shared, so it is read-only."""
     j, r, o = np.ogrid[:-(-(s + kt - 1) // s), :s, :s]
-    return ((j * s + r - o)[..., None] == np.arange(kt)).astype(dtype)
+    taps = ((j * s + r - o)[..., None] == np.arange(kt)).astype(dtype)
+    taps.flags.writeable = False
+    return taps
 
 
 def _correlate(src, w, taps, tp, count, out=None):

@@ -77,18 +77,24 @@ def write_csv(path, rows):
     write_atomic(path, text.getvalue().encode("utf-8"))
 
 
-def _write_container(path, magic, version, records):
+def _write_container(path, magic, version, records, error):
     """Frame ``(name, header bytes, values)`` records from any iterable and write
-    them atomically, one record at a time; returns the record count."""
+    them atomically, one record at a time; returns the record count. A record
+    holding a non-finite value is an ``error``, raised before the rename, so
+    ``path`` is left as it was."""
     count = 0
 
     def write(fh):
         nonlocal count
         fh.write(magic + struct.pack("<II", version, 0))
         for name, header, values in records:
+            values = np.ascontiguousarray(values, dtype="<f4")
+            if not np.isfinite(values).all():
+                raise error(f"record {count} ({name!r}) holds a non-finite value; "
+                            f"values must be finite")
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)) + encoded + header)
-            fh.write(np.ascontiguousarray(values, dtype="<f4").reshape(-1).view(np.uint8))
+            fh.write(values.reshape(-1).view(np.uint8))
             count += 1
         fh.seek(len(magic) + 4)
         fh.write(struct.pack("<I", count))
@@ -183,7 +189,8 @@ def write_cache(path, segments):
             yield seg.clip_id, header.pack(seg.segment_index, seg.label, seg.fold,
                                            int(seg.augmented)), seg.values
 
-    return _write_container(path, CACHE_MAGIC, CACHE_VERSIONS[-1], records())
+    return _write_container(path, CACHE_MAGIC, CACHE_VERSIONS[-1], records(),
+                            CacheFormatError)
 
 
 def read_cache(path):
@@ -210,7 +217,8 @@ def save_checkpoint(path, state):
     for name, arr in state.items():
         arr32 = np.asarray(arr, dtype="<f4", order="C")  # keeps rank 0, unlike ascontiguousarray
         records.append((name, struct.pack(f"<B{arr32.ndim}I", arr32.ndim, *arr32.shape), arr32))
-    _write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, records)
+    _write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, records,
+                     CheckpointFormatError)
 
 
 def read_checkpoint(path):

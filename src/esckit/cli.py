@@ -12,6 +12,7 @@ import argparse
 import ctypes
 import glob
 import os
+import platform
 import sys
 from dataclasses import replace
 
@@ -125,13 +126,15 @@ def _blas_threads():
 
 def _write_manifest(path, config, command):
     """The run's config plus what reproducing it bitwise depends on: the
-    format versions, the numpy and BLAS builds and the BLAS thread count."""
+    format versions, the numpy and BLAS builds and the BLAS thread count; and
+    the C library, whose allocator ``train`` tunes only where it is glibc."""
     blas_name, blas_version = _blas()
     manifest = {"command": command, "package_version": __version__,
                 "cache_format_version": CACHE_VERSIONS[-1],
                 "checkpoint_format_version": CHECKPOINT_VERSION,
                 "numpy_version": np.__version__, "blas_name": blas_name,
-                "blas_version": blas_version, "blas_threads": _blas_threads()}
+                "blas_version": blas_version, "blas_threads": _blas_threads(),
+                "libc": " ".join(filter(None, platform.libc_ver())) or "unknown"}
     text = dump_config(config) + "".join(f"manifest.{k} = {v}\n" for k, v in manifest.items())
     write_atomic(path, text.encode("utf-8"))
 

@@ -20,6 +20,8 @@ bit for bit, and the folds can run as separate processes.
 
 from __future__ import annotations
 
+import ctypes
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -37,6 +39,14 @@ from .features import compute_norm_stats, normalize
 LR_DECAY_FACTOR = 10.0
 MOMENTUM = 0.9
 L2_COEFF = 1e-4
+
+# glibc's mallopt parameters (malloc.h) and the values ``train`` pins them to.
+# 10 MiB sits above a desk step's largest buffer (8.8 MB at batch 64) and
+# below a full-width batch-64 step's 11 MB and larger maps. With those maps in
+# the heap (a 12, 16 or 32 MiB threshold) that step peaked at 1020 MB, not 920.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 10 << 20
+_TRIM_THRESHOLD_BYTES = 1 << 30
 
 
 class LeakageError(ValueError):
@@ -166,16 +176,41 @@ def split_fold(dataset, fold, copies_per_clip=0):
     return training, clips, [segs[0].label for segs in clips], held_out_ids
 
 
-def _train_step(params, opt, xb, yb, lr, rng):
-    """One SGD step on a batch: (loss, predicted class per row). The step's
-    graph is unreachable once this returns, so it is freed before the next
-    step's forward builds another."""
+def _keep_freed_pages():
+    """Pin glibc's mmap threshold at 10 MiB and its trim threshold at 1 GiB, so
+    that the buffers a train step frees stay in the heap for the next step
+    instead of going back to the kernel, to be faulted in page by page again.
+    Left to glibc, that churn depends on heap layout (its dynamic mmap
+    threshold, a trim at the heap top). Maps of 10 MiB and more, such as a
+    full-width step's, stay on mmap, so its peak RSS does not grow. Called by
+    ``train``, not at import, since it holds for the whole process; does
+    nothing where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+def _train_step(params, opt, xb, yb, lr, rng, where):
+    """One SGD step on a batch: (loss, predicted class per row). A non-finite
+    loss raises FloatingPointError naming ``where`` (held-out fold, epoch,
+    step) before the parameters change. The step's graph is unreachable once
+    this returns, so it is freed before the next step's forward builds
+    another."""
     probs = acrnn.forward(params, xb, mode="train", rng=rng)
     loss = ad.cross_entropy(probs, ad.Tensor(yb))
+    value = loss.item()
+    if not math.isfinite(value):
+        raise FloatingPointError("training loss is {} at held-out fold {}, epoch {}, step {}; "
+                                 "the run diverged".format(value, *where))
     _zero_grads(params)
     loss.backward()
     sgd_nesterov_step(params, opt, lr)
-    return loss.item(), probs.data.argmax(axis=1)
+    return value, probs.data.argmax(axis=1)
 
 
 def epoch_batches(n, batch_size, rng):
@@ -220,7 +255,10 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
     the per-epoch validation metric (clip-level accuracy under the segment
     probability averaging rule). The final state is written as ckpt_final
     when out_dir is set. Training accuracy is against the pre-mixup labels.
+    A non-finite training loss stops the run with FloatingPointError before
+    that step's update, so a diverged run writes no checkpoint.
     """
+    _keep_freed_pages()
     segments, val_clips, val_truths, held_out_ids = split_fold(
         dataset, held_out_fold, config.augmentation.copies_per_clip)
     if not segments:
@@ -252,14 +290,15 @@ def train(dataset, config, model_config, held_out_fold, out_dir=None):
         lr = lr_schedule(epoch, config)
         loss_sum, correct, seen = 0.0, 0, 0
         epoch_ids = set()
-        for idx in epoch_batches(n, config.batch_size, rng_shuffle):
+        for step, idx in enumerate(epoch_batches(n, config.batch_size, rng_shuffle)):
             batch_segments = [segments[i] for i in idx]
             epoch_ids.update(s.clip_id for s in batch_segments)
             xb = normalize([s.values for s in batch_segments], stats)
             yb = one_hot(labels[idx], k)
             if mixup_on:
                 mix_batch(xb, yb, MIXUP_ALPHA, rng_mixup)
-            loss, predicted = _train_step(params, opt, xb, yb, lr, rng_dropout)
+            loss, predicted = _train_step(params, opt, xb, yb, lr, rng_dropout,
+                                          (held_out_fold, epoch, step))
             loss_sum += loss * len(idx)
             correct += int((predicted == labels[idx]).sum())
             seen += len(idx)

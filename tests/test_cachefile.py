@@ -260,27 +260,56 @@ class TestStreamedReader:
         assert not np.shares_memory(loaded["scale"], loaded["kernel"])
 
 
+def _patch_value(path, at, value):
+    """Overwrite the float32 at byte ``at`` of a valid file, past the writers'
+    own finiteness check."""
+    blob = bytearray(path.read_bytes())
+    blob[at:at + 4] = struct.pack("<f", value)
+    path.write_bytes(bytes(blob))
+
+
 class TestNonFiniteValues:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_cache_record_with_a_non_finite_value_is_a_format_error(self, value, tmp_path):
-        segments = list(_segments(3))
-        segments[1].values[5, 0, 1] = value
         path = tmp_path / "c.lgt"
-        cf.write_cache(path, segments)
+        cf.write_cache(path, _segments(3))
         # record 1's values start after the header, record 0 and its own
         # 2 + 6 name bytes and 13 header bytes; (5, 0, 1) is value 5 * 256 + 1
         at = 12 + (2 + 6 + 13 + 128 * 128 * 2 * 4) + 2 + 6 + 13 + 4 * (5 * 256 + 1)
+        _patch_value(path, at, value)
         with pytest.raises(cf.CacheFormatError, match=rf"record 1 holds {value} at byte {at};"):
             cf.read_cache(path)
 
     def test_checkpoint_of_a_diverged_run_does_not_load(self, tmp_path):
         state = OrderedDict([("w", np.ones((2, 3), np.float32)),
-                             ("b", np.array([0.0, np.nan], np.float32))])
+                             ("b", np.array([0.0, 1.0], np.float32))])
         path = tmp_path / "ckpt"
         cf.save_checkpoint(path, state)
         # "b"'s values start at byte 12 + (2 + 1 + 1 + 8 + 24) + (2 + 1 + 1 + 4)
+        _patch_value(path, 60, np.nan)
         with pytest.raises(cf.CheckpointFormatError, match="record 1 holds nan at byte 60;"):
             cf.read_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_cache_writer_refuses_a_non_finite_value_and_keeps_the_previous_cache(
+            self, value, tmp_path):
+        path = tmp_path / "c.lgt"
+        cf.write_cache(path, _segments(2))
+        before = path.read_bytes()
+        segments = list(_segments(3, start=10))
+        segments[1].values[5, 0, 1] = value
+        with pytest.raises(cf.CacheFormatError,
+                           match=r"record 1 \('c11.wav'\) holds a non-finite value"):
+            cf.write_cache(path, segments)
+        _assert_only(tmp_path, path, before)
+
+    def test_checkpoint_writer_refuses_a_diverged_state_and_leaves_no_file(self, tmp_path):
+        state = OrderedDict([("w", np.ones((2, 3), np.float32)),
+                             ("b", np.array([0.0, np.nan], np.float32))])
+        with pytest.raises(cf.CheckpointFormatError,
+                           match=r"record 1 \('b'\) holds a non-finite value"):
+            cf.save_checkpoint(tmp_path / "ckpt", state)
+        assert list(tmp_path.iterdir()) == []
 
 
 def container_fields(blob, records):

@@ -1,7 +1,9 @@
 import hashlib
 import importlib
 import pkgutil
+import platform
 import re
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -372,6 +374,26 @@ class TestCli:
         cli._write_manifest(path, cfg.RunConfig(), "cv")
         assert f"manifest.blas_threads = {threads}" in path.read_text().splitlines()
 
+    def test_manifest_records_the_c_library(self, tmp_path):
+        # train pins the allocator's thresholds only under glibc
+        path = tmp_path / "manifest"
+        cli._write_manifest(path, cfg.RunConfig(), "train")
+        name, version = platform.libc_ver()
+        expected = f"{name} {version}" if name else "unknown"
+        assert f"manifest.libc = {expected}" in path.read_text().splitlines()
+
+    def test_diverged_train_exits_2_before_writing_a_checkpoint(self, tmp_path, capsys):
+        config_path = build_audio_tree(tmp_path)
+        assert cli.main(["extract", "--config", str(config_path)]) == 0
+        config_path.write_text(config_path.read_text() + "train.lr0 = 1e30\n")
+        capsys.readouterr()
+        # the overflow on the way to a NaN loss is the point here, not a warning
+        with np.errstate(all="ignore"):
+            assert cli.main(["train", "--config", str(config_path), "--fold", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "FloatingPointError: training loss is nan at held-out fold 2, epoch 1" in err
+        assert not (tmp_path / "out" / "ckpt_final").exists()
+
     def test_eval_infers_at_the_training_batch_size(self, tmp_path, monkeypatch):
         config_path = build_audio_tree(tmp_path, n_clips=12)
         config_path.write_text(config_path.read_text().replace("train.batch_size = 16",
@@ -500,9 +522,12 @@ class TestCli:
         (tmp_path / "cache.lgt").write_bytes(b"garbage header")
         assert cli.main(["train", "--config", str(config_path), "--fold", "1"]) == 1
         assert cli.main(["extract", "--config", str(config_path)]) == 0
-        segments = read_cache(tmp_path / "cache.lgt")
-        segments[2].values[0, 0, 0] = np.nan
-        write_cache(tmp_path / "cache.lgt", segments)
+        # write_cache refuses a NaN, so patch one into record 2's first value,
+        # after its name and 13 header bytes
+        blob = bytearray((tmp_path / "cache.lgt").read_bytes())
+        at = blob.index(b"clip2.wav") + len(b"clip2.wav") + 13
+        blob[at:at + 4] = struct.pack("<f", np.nan)
+        (tmp_path / "cache.lgt").write_bytes(bytes(blob))
         capsys.readouterr()
         assert cli.main(["train", "--config", str(config_path), "--fold", "1"]) == 1
         assert "record 2 holds nan at byte " in capsys.readouterr().err
