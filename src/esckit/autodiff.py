@@ -102,15 +102,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def _adopt(self, g):
-        """``_accumulate`` for a g that nothing else holds or reads: the first
-        add turns -0 into +0 in place and keeps g as ``grad``, with no copy."""
-        if self.grad is None:
-            g += 0.0
-            self.grad = g
-        else:
-            self.grad += g
-
     # -- graph traversal ----------------------------------------------------
 
     def _topo_order(self):
@@ -138,8 +129,9 @@ class Tensor:
         node has run it drops its closure, the arrays it saved and, unless it
         is a leaf, its ``grad``, and backward overwrites saved buffers, so a
         second ``backward()`` through a walked node raises ``GraphError``.
-        Every ``grad`` is an array of its own (see ``_accumulate`` and
-        ``_adopt``).
+        Every ``grad`` is an array of its own (see ``_accumulate``), or a
+        view of a buffer that nothing else holds (a conv's input gradient,
+        see ``_ConvLayout.backward``).
         """
         if self.data.size != 1:
             raise GraphError(f"backward() requires a scalar, got shape {self.shape}")
@@ -465,7 +457,8 @@ class _ConvLayout:
     def _frame(self, rows, lead, f0, t0):
         """Zero rows[:lead], the rows after the (n, fp, tp, c) grid that
         follows them, and every grid cell outside its (f, t) block at (f0, t0);
-        return that block's view, which the caller writes in full."""
+        return that block's view, which the caller writes in full, before or
+        after."""
         n, f, t, _ = self.x_shape
         rows[:lead] = 0
         rows[lead + self.rows:] = 0
@@ -502,8 +495,8 @@ class _ConvLayout:
         gradient is the per-band GEMMs of the input views against the output
         gradient, folded back along the band diagonals; the input gradient is
         the correlation of the gradient rows with the flipped, channel-swapped
-        kernel, written over the padded input rows, which are dead by then,
-        and taken by x as is."""
+        kernel, written over the padded input rows, which are dead by then;
+        x takes its interior view as is."""
         n, f, t, cin = self.x_shape
         kf, _, _, cout = self.kernel_shape
         s, nb, count, w = self.s, self.nb, self.count, kernel.data
@@ -520,7 +513,15 @@ class _ConvLayout:
             kernel._accumulate(np.einsum("ajrioc,jrob->abic", gbands, self.taps))
         if x.requires_grad:
             gxp = self.grid(grows, w[::-1, ::-1].transpose(0, 1, 3, 2), xrows)
-            x._adopt(gxp[:, self.pf0:self.pf0 + f, self.pt0:self.pt0 + t, :])
+            gxp = gxp[:, self.pf0:self.pf0 + f]
+            gx = gxp[:, :, self.pt0:self.pt0 + t]
+            if x.grad is None:
+                # Nothing else holds gxp: add 0 over its whole rows, turning
+                # -0 into +0 as adding into zeros would, and keep the view.
+                gxp += 0.0
+                x.grad = gx
+            else:
+                x.grad += gx
 
 
 def _conv_operands(op, x, kernel):
@@ -720,16 +721,18 @@ def _pool_lanes(z, window, c):
 
 
 def _window_positions(code, window, grid_shape):
-    """(n, of, ot, c) flat positions of the window maxima that (n, of, c, ot)
-    ``code`` marks, in a C-contiguous (n, f, t, c) grid."""
+    """C-contiguous (n, of, ot, c) flat positions of the window maxima that
+    (n, of, c, ot) ``code`` marks, in a C-contiguous (n, f, t, c) grid: the
+    order of the gradient rows, so that the gather and the scatter-add walk
+    their index array in order."""
     n, of, c, ot = code.shape
     wf, wt = window
     _, f, t, _ = grid_shape
     r, k = np.divmod(np.arange(wf * wt), wt)
-    corner = (np.arange(n)[:, None, None, None] * (f * t * c)
-              + np.arange(of)[:, None, None] * (wf * t * c)
-              + np.arange(c)[:, None] + np.arange(ot) * (wt * c))
-    return (corner + ((r * t + k) * c)[code]).transpose(0, 1, 3, 2)
+    pos = ((r * t + k) * c)[np.ascontiguousarray(code.transpose(0, 1, 3, 2))]
+    pos += (np.arange(n)[:, None] * (f * t * c) + np.arange(of) * (wf * t * c))[:, :, None, None]
+    pos += np.arange(ot)[:, None] * (wt * c) + np.arange(c)
+    return pos
 
 
 def conv_block(x, kernel, bn_state, mode, window=None):
@@ -738,17 +741,25 @@ def conv_block(x, kernel, bn_state, mode, window=None):
 
     Equal to ``maxpool2d(relu(batchnorm(conv2d(...), bn_state, mode)), window)``
     up to summation order, with the same running-statistics update. The
-    batch-norm statistics and x_hat run on (N, F, T*C) lane views of the
-    conv's padded output grid, where x_hat overwrites the conv output. The
-    affine map goes to one fresh map, which the ReLU overwrites or which is
-    pooled; max commutes with the monotone ReLU, so a pooled block's ReLU
+    conv's padded output grid is read as (N, F, Tp*C) whole rows: the T*C
+    lanes of the "same" output, then (kt-1)*C pad lanes holding the finite
+    correlation at padded columns. The elementwise passes run on whole rows,
+    one numpy loop per example rather than one per row: centring and scaling
+    x_hat over the conv output, the affine map into one fresh map (in place
+    over x_hat for an infer-mode pooled block, which keeps nothing) and a
+    non-pooled block's ReLU over that map, of which y is the T*C-lane view.
+    The batch-norm statistics, the pooling and backward's reductions read
+    the T*C-lane views, so no pad lane enters a statistic, an output or a
+    gradient. Max commutes with the monotone ReLU, so a pooled block's ReLU
     runs on the pooled map. Train-mode backward keeps the padded input rows,
-    the grid holding x_hat and the output with a uint8 window code per pooled
-    cell. The grid sits inside a buffer shaped as the conv's gradient rows;
-    backward reads x_hat, zeroes the buffer around the output block and
-    writes the batch-norm input gradient over x_hat, and the conv's input
-    gradient goes over the padded input rows (see ``conv2d``). Infer mode
-    is forward-only: no graph inputs, nothing kept.
+    the grid holding x_hat and the output with a uint8 window code per
+    pooled cell. The grid sits inside a buffer shaped as the conv's gradient
+    rows; backward reads x_hat, writes the batch-norm input gradient over it
+    on whole rows (a non-pooled block first lays its masked output gradient
+    out on whole rows with zero pad lanes), then zeroes the buffer around the
+    output block, pad lanes included, and the conv's input gradient goes
+    over the padded input rows (see ``conv2d``). Infer mode is forward-only:
+    no graph inputs, nothing kept.
     """
     x, kernel, layout = _conv_operands("conv_block", x, kernel)
     gamma, beta = bn_state.gamma, bn_state.beta
@@ -761,7 +772,7 @@ def conv_block(x, kernel, bn_state, mode, window=None):
     lanes, m = t * c, n * f * t
 
     def tile(v):
-        return np.tile(v, t)
+        return np.tile(v, layout.tp)
 
     def channel_sum(lane_sums):
         return lane_sums.reshape(-1, c).sum(axis=0)
@@ -769,57 +780,68 @@ def conv_block(x, kernel, bn_state, mode, window=None):
     xrows = layout.pad(x.data)
     grows = layout.out_rows(np.result_type(x.data, kernel.data))
     grid = layout.grid(xrows, kernel.data, grows[layout.lead:])
-    xhat = grid[:, :f].reshape(n, f, -1)[:, :, :lanes]
+    full = grid[:, :f].reshape(n, f, -1)
+    xhat = full[:, :, :lanes]
     if mode == "train":
         mu = channel_sum(np.einsum("nfl->l", xhat)) / m
-        xhat -= tile(mu)
+        full -= tile(mu)
         var = channel_sum(np.einsum("nfl,nfl->l", xhat, xhat)) / m
         _fold_running_stats(bn_state, mu, var)
     elif mode == "infer":
-        xhat -= tile(bn_state.running_mean.astype(xhat.dtype))
-        var = bn_state.running_var.astype(xhat.dtype)
+        full -= tile(bn_state.running_mean.astype(full.dtype))
+        var = bn_state.running_var.astype(full.dtype)
     else:
         raise ValueError(f"unknown batchnorm mode {mode!r}")
     inv = 1.0 / np.sqrt(var + BN_EPSILON)
-    xhat *= tile(inv)
-    z = np.multiply(xhat, tile(gamma.data))
+    full *= tile(inv)
+    # Infer mode keeps nothing, so a pooled block's affine map overwrites
+    # x_hat; a non-pooled one writes a fresh map, as y, its view, would
+    # otherwise keep the grid alive.
+    z = np.multiply(full, tile(gamma.data), out=full if mode == "infer" and window else None)
     z += tile(beta.data)
     if window is None:
-        y = np.maximum(z, 0.0, out=z).reshape(n, f, t, c)
+        relu = np.maximum(z, 0.0, out=z)
+        y = relu[:, :, :lanes].reshape(n, f, t, c)
     else:
-        peak, code = _pool_lanes(z, window, c)
+        peak, code = _pool_lanes(z[:, :, :lanes], window, c)
         y = np.empty((n, peak.shape[1], peak.shape[3], c), dtype=peak.dtype)
         np.maximum(peak.transpose(0, 1, 3, 2), 0.0, out=y)
     out = _node(y, (x, kernel, gamma, beta) if mode == "train" else (), "conv_block")
 
     if out.requires_grad:
         def backward(g):
-            gy = g * (y > 0.0)
-            # Row sums into lanes first, so that each float32 sum runs over
-            # few terms.
-            rows = gy.reshape(n, gy.shape[1], -1)
             if window is None:
-                hat = xhat
+                # g * (y > 0) on whole rows, zero in the pad lanes.
+                gfull = np.empty(full.shape, full.dtype)
+                gfull[:, :, lanes:] = 0.0
+                gfull[:, :, :lanes].reshape(g.shape)[...] = g
+                gfull *= relu > 0.0
+                gy, hat = gfull[:, :, :lanes], xhat
             else:
+                gy = (g * (y > 0.0)).reshape(n, g.shape[1], -1)
                 # x_hat's flat grid positions; the gradient rows' are lead*c on.
                 pos = _window_positions(code, window, grid.shape)
-                hat = grid.reshape(-1)[pos].reshape(rows.shape)
-            gsum = channel_sum(np.einsum("nfl->l", rows))
-            gdot = channel_sum(np.einsum("nfl,nfl->l", rows, hat))
+                hat = grid.reshape(-1)[pos].reshape(gy.shape)
+            # Row sums into lanes first, so that each float32 sum runs over
+            # few terms.
+            gsum = channel_sum(np.einsum("nfl->l", gy))
+            gdot = channel_sum(np.einsum("nfl,nfl->l", gy, hat))
             scale = gamma.data * inv
             if gamma.requires_grad:
                 gamma._accumulate(gdot)
             if beta.requires_grad:
                 beta._accumulate(gsum)
-            # The gradient rows are the grid's buffer: gz overwrites x_hat.
-            gz = layout._frame(grows, layout.lead, 0, 0).reshape(n, f, lanes)
-            np.multiply(xhat, tile(-scale * gdot / m), out=gz)
-            gz += tile(-scale * gsum / m)
-            rows *= np.tile(scale, rows.shape[2] // c)
+            # The gradient rows are the grid's buffer: the batch-norm input
+            # gradient overwrites x_hat.
+            np.multiply(full, tile(-scale * gdot / m), out=full)
+            np.add(full, tile(-scale * gsum / m), out=full)
             if window is None:
-                gz += rows.reshape(gz.shape)
+                gfull *= tile(scale)
+                np.add(full, gfull, out=full)
             else:
-                grows.reshape(-1)[layout.lead * c:][pos] += rows.reshape(pos.shape)
+                gy *= np.tile(scale, gy.shape[2] // c)
+                grows.reshape(-1)[layout.lead * c:][pos] += gy.reshape(pos.shape)
+            layout._frame(grows, layout.lead, 0, 0)
             layout.backward(x, kernel, xrows, grows)
         out._backward = backward
     return out

@@ -13,7 +13,7 @@ from esckit.autodiff import (
 )
 from esckit.data import one_hot
 from esckit.fdcheck import OP_TOLERANCE, op_gradient_checks
-from esckit.model import POOLS
+from esckit.model import CONV_KERNELS, POOLS
 
 
 def t(data, **kw):
@@ -557,6 +557,54 @@ def test_infer_mode_conv_block_keeps_nothing(monkeypatch, window):
                         state, "infer", window)
     assert not out.requires_grad and len(kept) == 2
     assert [ref() for ref in kept] == [None, None]
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("block", range(1, 9))
+def test_pad_lanes_never_leak(monkeypatch, block, mode):
+    # The block's elementwise passes run on whole grid rows, whose lanes past
+    # the "same" output block hold the correlation at padded columns. With
+    # every grid cell outside that block set to a sentinel after the forward
+    # correlation, no output, gradient or running-statistic bit may change.
+    channels = (2,) + tiny_model_config().conv_channels
+    cin, cout = channels[block - 1], channels[block]
+    rng = np.random.default_rng(29)
+    arrays = [a.astype(np.float32) for a in (
+        rng.standard_normal((3, 9, 11, cin)),
+        0.5 * rng.standard_normal(CONV_KERNELS[block - 1] + (cin, cout)),
+        1.0 + 0.5 * rng.standard_normal(cout), rng.standard_normal(cout))]
+    proj = rng.standard_normal((3, 9, 11, cout))
+    filled = []
+
+    def fill_pads(self, rows, w, out=None, real=ad._ConvLayout.grid):
+        grid = real(self, rows, w, out)
+        _, f, t, _ = self.x_shape
+        grid[:, f:] = 1e3
+        grid[:, :f, t:] = 1e3
+        filled.append(grid.shape)
+        return grid
+
+    def run(sentinel):
+        x, k, gamma, beta = (Tensor(a, requires_grad=True) for a in arrays)
+        state = BatchNormState(gamma=gamma, beta=beta, running_mean=np.full(cout, 0.1, np.float32),
+                               running_var=np.full(cout, 0.9, np.float32))
+        with monkeypatch.context() as patch:
+            if sentinel:
+                patch.setattr(ad._ConvLayout, "grid", fill_pads)
+            out = ad.conv_block(x, k, state, mode, POOLS.get(block))
+        y = out.data.copy()
+        if mode == "train":
+            p = Tensor(proj[:, :y.shape[1], :y.shape[2]].astype(np.float32))
+            ad.tensor_sum(ad.mul(out, p)).backward()
+        return [y, x.grad, k.grad, gamma.grad, beta.grad, state.running_mean, state.running_var]
+
+    clean, dirty = run(False), run(True)
+    assert len(filled) == 1
+    grads = ("x", "kernel", "gamma", "beta")
+    for name, want, got in zip(("out",) + grads + ("mean", "var"), clean, dirty):
+        assert (got is None) == (want is None) == (mode == "infer" and name in grads)
+        if want is not None:
+            assert got.dtype == want.dtype == np.float32 and got.tobytes() == want.tobytes(), name
 
 
 def _poisoned(make):

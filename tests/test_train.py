@@ -160,6 +160,34 @@ print(digest.hexdigest())
 """
 
 
+# SHA-256 of the parameter gradients, the batch-norm running statistics and
+# an infer-mode forward of a desk-shaped step: the tiny model at 128x128 and
+# batch 64, where the narrow convs run S=8 grid positions per super-row.
+DESK_STEP_SHA256 = "6964992245b8fe6e7cb9e163315b898476bc4d8f6722206fa53d66abda72068f"
+
+DESK_STEP = """
+import hashlib
+import numpy as np
+from esckit import autodiff as ad, model as acrnn
+from esckit.data import one_hot
+cfg = acrnn.ACRNNConfig(num_classes=2, conv_channels=(2, 2, 3, 3, 4, 4, 5, 5), gru_hidden=4,
+                        dropout_p=0.5, input_bands=128, input_frames=128)
+params = acrnn.build(cfg, seed=1)
+x = np.random.default_rng(2).standard_normal((64, 128, 128, 2)).astype(np.float32)
+y = one_hot(np.random.default_rng(3).integers(0, 2, 64), 2)
+probs = acrnn.forward(params, x, mode="train", rng=np.random.default_rng(4))
+ad.cross_entropy(probs, ad.Tensor(y)).backward()
+digest = hashlib.sha256()
+for tensor in params.tensors.values():
+    digest.update(tensor.grad.tobytes())
+for state in params.bn.values():
+    digest.update(state.running_mean.tobytes())
+    digest.update(state.running_var.tobytes())
+digest.update(acrnn.forward(params, x[:10], mode="infer").data.tobytes())
+print(digest.hexdigest())
+"""
+
+
 def _openblas_core():
     """The core name numpy's bundled OpenBLAS picked at load, or None."""
     for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
@@ -178,15 +206,26 @@ def _on_the_hashed_build():
     return str(blas.get("version", "")).startswith("0.3.31") and _openblas_core() == "SkylakeX"
 
 
-@pytest.mark.skipif(not _on_the_hashed_build(),
-                    reason="the gradient hash holds for one numpy/OpenBLAS build and core")
-def test_defined_full_width_step_keeps_its_gradient_bits():
+def _step_digest(script):
+    """What ``script`` prints, run in a child process at one BLAS thread."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(acrnn.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", DEFINED_STEP], env=env, check=True,
+    run = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=300)
-    assert run.stdout.strip() == DEFINED_STEP_SHA256
+    return run.stdout.strip()
+
+
+@pytest.mark.skipif(not _on_the_hashed_build(),
+                    reason="the gradient hash holds for one numpy/OpenBLAS build and core")
+def test_defined_full_width_step_keeps_its_gradient_bits():
+    assert _step_digest(DEFINED_STEP) == DEFINED_STEP_SHA256
+
+
+@pytest.mark.skipif(not _on_the_hashed_build(),
+                    reason="the step hash holds for one numpy/OpenBLAS build and core")
+def test_desk_step_keeps_its_bits():
+    assert _step_digest(DESK_STEP) == DESK_STEP_SHA256
 
 
 # Graph nodes of one tiny-config train step over a 7-step GRU sequence. Each
