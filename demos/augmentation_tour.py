@@ -8,7 +8,7 @@ from esckit import features as ft
 SR = ft.SAMPLE_RATE
 n = SR  # one second
 clip = ft.WaveClip(samples=0.8 * np.sin(2 * np.pi * 440.0 * np.arange(n) / SR),
-                   sample_rate=SR, label=0, fold=1, clip_id="tone")
+                   label=0, fold=1, clip_id="tone")
 
 
 def peak_hz(c):

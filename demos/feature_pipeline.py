@@ -13,7 +13,7 @@ SR = ft.SAMPLE_RATE
 # a 5 second 440 Hz tone, like one dataset clip
 n = 5 * SR
 clip = ft.WaveClip(samples=0.8 * np.sin(2 * np.pi * 440.0 * np.arange(n) / SR),
-                   sample_rate=SR, label=0, fold=1, clip_id="demo-sine")
+                   label=0, fold=1, clip_id="demo-sine")
 print(f"clip: {clip.samples.size} samples at {SR} Hz")
 
 spec = ft.stft_power(clip)

@@ -26,8 +26,7 @@ for i in range(8):
         samples, label = 0.8 * np.sin(2 * np.pi * freq * np.arange(n) / SR), 0
     else:
         samples, label = 0.5 * rng.standard_normal(n), 1
-    clip = ft.WaveClip(samples=samples, sample_rate=SR, label=label, fold=1,
-                       clip_id=f"probe{i}")
+    clip = ft.WaveClip(samples=samples, label=label, fold=1, clip_id=f"probe{i}")
     segments.extend(ft.extract_segments(clip, fb))
 dataset = SegmentDataset(segments=segments, num_classes=2)
 print(f"{len(dataset)} segments, {dataset.num_classes} classes")
@@ -35,7 +34,7 @@ print(f"{len(dataset)} segments, {dataset.num_classes} classes")
 config = tr.TrainConfig(batch_size=64, epochs=STEPS, seed=0,
                         augmentation=AugmentConfig(copies_per_clip=0, mixup_enabled=False))
 model_config = acrnn.ACRNNConfig(num_classes=2, conv_channels=(4, 4, 8, 8, 16, 16, 32, 32),
-                                 gru_hidden=32, input_bands=128, input_frames=128)
+                                 gru_hidden=32)
 result = tr.train(dataset, config, model_config, held_out_fold=0)
 
 print(f"{result.steps_per_epoch} step(s) per epoch")

@@ -37,13 +37,10 @@ SHIFT_RANGE_SEMITONES = (-3.5, 3.5)
 class AugmentConfig:
     copies_per_clip: int = 2
     mixup_enabled: bool = True
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.copies_per_clip < 0:
             raise ValueError(f"copies_per_clip must be >= 0, got {self.copies_per_clip}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def _istft(spectra, n_frames):

@@ -19,8 +19,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .cachefile import CACHE_SEGMENT_SHAPE, CACHE_VERSIONS, CHECKPOINT_VERSION, \
-    read_cache_dataset, read_checkpoint, write_atomic
+from .cachefile import CACHE_VERSIONS, CHECKPOINT_VERSION, read_cache_dataset, \
+    read_checkpoint, write_atomic
 from .config import ConfigError, RunConfig, dump_config, load_config
 from .dataset import VARIANTS, build_cache, load_metadata
 from .evaluate import EvalReport, ablate, ablation_to_csv, confusion_matrix, cross_validate, \
@@ -91,10 +91,8 @@ def _load_run_config(args):
         if getattr(args, flag, None):
             setattr(config, name, getattr(args, flag))
     if getattr(args, "seed", None) is not None:
-        # replace() reruns the sections' validation, which rejects a negative seed.
-        config.seed = args.seed
-        config.train = replace(config.train, seed=args.seed,
-                               augmentation=replace(config.augment, rng_seed=args.seed))
+        # replace() reruns TrainConfig's validation, which rejects a negative seed
+        config.train = replace(config.train, seed=args.seed)
     return config
 
 
@@ -142,10 +140,6 @@ def _write_manifest(path, config, command):
 def _dataset(config):
     if not config.cache:
         raise ConfigError("no cache path given (flag --cache or key data.cache)")
-    model_input = (config.model.input_bands, config.model.input_frames)
-    if model_input != CACHE_SEGMENT_SHAPE[:2]:
-        raise ConfigError(f"model.input_bands/input_frames {model_input} differ from the "
-                          f"cache's {CACHE_SEGMENT_SHAPE[:2]} segments")
     class_names = {}
     if config.meta_csv and os.path.exists(config.meta_csv):
         # the cache stores no category strings; recover them for report headers
@@ -161,7 +155,7 @@ def _cmd_extract(args):
         raise ConfigError("extract needs --meta, --data-dir and --out (or data.* config keys)")
     records = load_metadata(config.meta_csv, config.variant)
     count = build_cache(records, config.audio_dir, config.augment, config.cache,
-                        seed=config.augment.rng_seed)
+                        seed=config.train.seed)
     _write_manifest(f"{config.cache}.manifest", config, "extract")
     print(f"wrote {count} segments from {len(records)} clips to {config.cache}")
     return 0
@@ -169,8 +163,10 @@ def _cmd_extract(args):
 
 def _cmd_train(args):
     config = _load_run_config(args)
-    result = train(_dataset(config), config.train, config.model, args.fold,
-                   out_dir=config.out_dir)
+    dataset = _dataset(config)
+    if not split_fold(dataset, args.fold)[1]:
+        raise ValueError(f"fold {args.fold} has zero clips")
+    result = train(dataset, config.train, config.model, args.fold, out_dir=config.out_dir)
     _write_manifest(os.path.join(config.out_dir, "manifest"), config, "train")
     last = result.history.rows[-1]
     print(f"fold {args.fold}: train_acc {last.train_acc:.3f} val_acc {last.val_acc:.3f} "

@@ -156,8 +156,7 @@ def read_wav(path):
                             offset=data_off).astype(np.float64) / 32768.0
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
-    return WaveClip(samples=samples, sample_rate=SAMPLE_RATE, label=0, fold=0,
-                    clip_id=os.path.basename(path))
+    return WaveClip(samples=samples, label=0, fold=0, clip_id=os.path.basename(path))
 
 
 def _clip_rng(seed, clip_id):

@@ -33,18 +33,12 @@ class TooShortError(ValueError):
 
 @dataclass
 class WaveClip:
-    """A mono waveform with its dataset bookkeeping."""
+    """A mono waveform at SAMPLE_RATE with its dataset bookkeeping."""
 
     samples: np.ndarray
-    sample_rate: int
     label: int
     fold: int
     clip_id: str
-
-    def __post_init__(self):
-        if self.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"clip {self.clip_id!r}: sample rate {self.sample_rate} Hz, "
-                             f"the features need {SAMPLE_RATE} Hz")
 
 
 @dataclass

@@ -125,11 +125,11 @@ def lr_schedule(epoch, config):
     return config.lr0 / LR_DECAY_FACTOR ** (epoch // config.lr_decay_every)
 
 
-def sgd_nesterov_step(params, state, lr, momentum=MOMENTUM, l2_coeff=L2_COEFF):
+def sgd_nesterov_step(params, state, lr):
     """One lookahead-applied Nesterov update.
 
-    With g' = grad + l2_coeff * w (weight tensors only; biases and batch-norm
-    scale/shift are exempt): v <- momentum*v - lr*g'; w <- w + momentum*v - lr*g'.
+    With g' = grad + L2_COEFF * w (weight tensors only; biases and batch-norm
+    scale/shift are exempt): v <- MOMENTUM*v - lr*g'; w <- w + MOMENTUM*v - lr*g'.
     """
     weight_set = set(params.weight_names)
     for name, tensor in params.tensors.items():
@@ -139,10 +139,10 @@ def sgd_nesterov_step(params, state, lr, momentum=MOMENTUM, l2_coeff=L2_COEFF):
         if v is None or v.shape != tensor.shape:
             raise ValueError(f"optimizer state for {name!r} missing or wrong shape")
         g = tensor.grad
-        if l2_coeff and name in weight_set:
-            g = g + l2_coeff * tensor.data
-        v[:] = momentum * v - lr * g
-        tensor.data = tensor.data + momentum * v - lr * g
+        if name in weight_set:
+            g = g + L2_COEFF * tensor.data
+        v[:] = MOMENTUM * v - lr * g
+        tensor.data = tensor.data + MOMENTUM * v - lr * g
 
 
 def _zero_grads(params):

@@ -45,8 +45,7 @@ def probe_dataset():
             samples, label = sine([330, 440, 550, 660][i], n / SR), 0
         else:
             samples, label = 0.5 * rng.standard_normal(n), 1
-        clip = ft.WaveClip(samples=samples, sample_rate=SR, label=label, fold=1,
-                           clip_id=f"probe{i}")
+        clip = ft.WaveClip(samples=samples, label=label, fold=1, clip_id=f"probe{i}")
         segments.extend(ft.extract_segments(clip, fb))
     return SegmentDataset(segments=segments, num_classes=2)
 
@@ -173,8 +172,7 @@ def test_criterion_4_mixup_contract():
 def test_criterion_5_dsp_oracles():
     t0 = time.monotonic()
     fb = ft.build_gammatone_filterbank()
-    clip = ft.WaveClip(samples=sine(440.0, 5.0), sample_rate=SR, label=0, fold=1,
-                       clip_id="sine5s")
+    clip = ft.WaveClip(samples=sine(440.0, 5.0), label=0, fold=1, clip_id="sine5s")
     spec = ft.stft_power(clip)
     assert spec.shape == (513, 429)
     assert np.all(spec.argmax(axis=0) == 10)

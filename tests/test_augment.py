@@ -13,7 +13,7 @@ from esckit import features as ft
 def sine_clip(freq_hz=440.0, seconds=1.0):
     n = int(round(seconds * ft.SAMPLE_RATE))
     x = np.sin(2.0 * np.pi * freq_hz * np.arange(n) / ft.SAMPLE_RATE)
-    return ft.WaveClip(samples=x, sample_rate=ft.SAMPLE_RATE, label=0, fold=1, clip_id="sine")
+    return ft.WaveClip(samples=x, label=0, fold=1, clip_id="sine")
 
 
 def dominant_bin(clip):
@@ -106,7 +106,7 @@ def tone_clip(n, seed=0):
     rng = np.random.default_rng(seed)
     x = 0.5 * np.sin(2.0 * np.pi * 440.0 * np.arange(n) / ft.SAMPLE_RATE)
     x += 0.1 * rng.standard_normal(n)
-    return ft.WaveClip(samples=x, sample_rate=ft.SAMPLE_RATE, label=0, fold=1, clip_id="t")
+    return ft.WaveClip(samples=x, label=0, fold=1, clip_id="t")
 
 
 # At every length in LENGTHS the last step of rate 0.45 falls between the last
@@ -141,8 +141,7 @@ class TestVocoderMatchesReferenceLoop:
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_all_zero_clip_stays_zero(self, n):
-        clip = ft.WaveClip(samples=np.zeros(n), sample_rate=ft.SAMPLE_RATE, label=0, fold=1,
-                           clip_id="silence")
+        clip = ft.WaveClip(samples=np.zeros(n), label=0, fold=1, clip_id="silence")
         for rate in (0.8, 1.3):
             out = aug.time_stretch(clip, rate).samples
             assert np.all(np.isfinite(out)) and np.all(out == 0.0)

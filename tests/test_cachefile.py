@@ -17,7 +17,7 @@ from esckit import cli
 from esckit import evaluate as ev
 from esckit.config import RunConfig
 from esckit.features import LogGTSegment
-from esckit.train import HistoryRow, TrainHistory
+from esckit.train import HistoryRow, TrainConfig, TrainHistory
 from test_dataset import run_mutations
 
 SRC = Path(cf.__file__).parent
@@ -145,7 +145,8 @@ WRITERS = {
     "ablation": lambda path, v: ev.ablation_to_csv([("base", _report(v))], path),
     "history": lambda path, v: TrainHistory(rows=[HistoryRow(
         epoch=1, lr=0.01, train_loss=v, train_acc=0.5, val_acc=0.5, seconds=1.0)]).to_csv(path),
-    "manifest": lambda path, v: cli._write_manifest(path, RunConfig(seed=int(v * 10)), "cv"),
+    "manifest": lambda path, v: cli._write_manifest(
+        path, RunConfig(train=TrainConfig(seed=int(v * 10))), "cv"),
 }
 
 

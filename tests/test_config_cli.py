@@ -36,6 +36,7 @@ BAD_RUN_SETTINGS = [
     "model.input_bands = 16",
     "model.input_frames = 17",
     "model.rnn_attention_form = linear",
+    "data.variant = esc5O",
 ]
 
 
@@ -56,7 +57,7 @@ model.num_classes = 10
 model.conv_channels = 2,2,3,3,4,4,5,5
 """
         config = cfg.parse_config(text)
-        assert config.seed == 7 and config.out_dir == "out"
+        assert config.train.seed == 7 and config.out_dir == "out"
         assert config.cache == "cache.lgt" and config.variant == "esc10"
         assert config.train.lr0 == 0.02 and config.train.epochs == 5
         assert config.augment.copies_per_clip == 1 and not config.augment.mixup_enabled
@@ -68,11 +69,22 @@ model.conv_channels = 2,2,3,3,4,4,5,5
             cfg.parse_config("run.seed = -1\ntrain.seed = 0\naugment.rng_seed = 0\n")
 
     def test_master_seed_propagates(self):
+        # run.seed is the one seed: training's, and extraction's through the CLI
         config = cfg.parse_config("run.seed = 11\n")
         assert config.train.seed == 11
-        assert config.augment.rng_seed == 11
-        config = cfg.parse_config("run.seed = 11\ntrain.seed = 3\n")
-        assert config.train.seed == 3
+        assert not hasattr(config.augment, "rng_seed")
+        assert cfg.parse_config("run.seed = 11\ntrain.seed = 11\naugment.rng_seed = 11\n") \
+               == config
+
+    # Older manifests copied run.seed into these keys; a copy that differs is refused.
+    @pytest.mark.parametrize("key", cfg.SEED_COPIES)
+    @pytest.mark.parametrize("text", ["run.seed = 7\n{key} = 3\n", "{key} = 3\nrun.seed = 7\n",
+                                      "{key} = 3\n"])
+    def test_seed_copy_other_than_run_seed_rejected(self, key, text):
+        seed = 7 if "run.seed" in text else 0
+        with pytest.raises(cfg.ConfigError,
+                           match=f"{key} = 3 differs from run.seed = {seed}"):
+            cfg.parse_config(text.format(key=key))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(cfg.ConfigError, match="train.lr_zero"):
@@ -93,7 +105,7 @@ model.conv_channels = 2,2,3,3,4,4,5,5
 
     def test_manifest_keys_ignored(self):
         config = cfg.parse_config("run.seed = 4\nmanifest.command = extract\n")
-        assert config.seed == 4
+        assert config.train.seed == 4
 
     def test_dump_parse_round_trip(self):
         base = cfg.parse_config("run.seed = 9\ntrain.lr0 = 0.5\nmodel.gru_hidden = 8\n")
@@ -105,9 +117,11 @@ model.conv_channels = 2,2,3,3,4,4,5,5
         dumped = cfg.dump_config(config)
         pairs = list(zip(dumped.splitlines(), cfg.dump_config(cfg.RunConfig()).splitlines(),
                          strict=True))
-        # every dataclass field but the nested ones is a key, and each is set
-        assert len(pairs) == (len(fields(cfg.RunConfig)) - 2 + len(fields(TrainConfig)) - 1
-                              + len(fields(AugmentConfig)) + len(fields(ACRNNConfig)))
+        # every dataclass field but the nested ones and the model input size is
+        # a key, and each is set
+        assert len(pairs) == 17 == (len(fields(cfg.RunConfig)) - 2 + len(fields(TrainConfig))
+                                    - 1 + len(fields(AugmentConfig)) + len(fields(ACRNNConfig))
+                                    - 2)
         for line, default in pairs:
             assert line.partition(" = ")[0] == default.partition(" = ")[0]
             assert line != default
@@ -119,6 +133,16 @@ model.conv_channels = 2,2,3,3,4,4,5,5
         example = readme.split("### Run configuration")[1].split("```ini")[1].split("```")[0]
         config = cfg.parse_config(example)
         assert config.variant == "esc10" and config.model.attention_placement == "l10"
+        live = {line.partition(" = ")[0] for line in cfg.dump_config(config).splitlines()}
+        keys = {line.partition("=")[0].strip() for line in example.splitlines()
+                if line.strip() and not line.startswith("#")}
+        assert keys <= live, keys - live
+
+    def test_readme_names_every_retired_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Run configuration")[1].split("\n### ")[0]
+        for key in [*cfg.RETIRED_KEYS, *cfg.SEED_COPIES]:
+            assert f"`{key}`" in section, key
 
     def test_readme_command_lines_parse(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -144,6 +168,9 @@ model.conv_channels = 2,2,3,3,4,4,5,5
         assert hashlib.sha256(DEFAULT_DUMP_28_KEYS.encode()).hexdigest() == \
                "f3fdab0f4b39fffe1a2486dac217b5e5cceb777471db00138dec35a5169d8956"
         assert cfg.parse_config(DEFAULT_DUMP_28_KEYS) == cfg.RunConfig()
+        assert hashlib.sha256(DEFAULT_DUMP_21_KEYS.encode()).hexdigest() == \
+               "adf17d7b21c70cdc68c576ae758fd577e65ab46fb5e68f3ff14df4f997b64438"
+        assert cfg.parse_config(DEFAULT_DUMP_21_KEYS) == cfg.RunConfig()
 
     def test_default_dump_keys(self):
         keys = [line.partition(" = ")[0]
@@ -152,12 +179,11 @@ model.conv_channels = 2,2,3,3,4,4,5,5
             "data.meta_csv", "data.audio_dir", "data.cache", "data.variant",
             "run.out_dir", "run.seed",
             "train.batch_size", "train.epochs", "train.lr0", "train.lr_decay_every",
-            "train.seed",
-            "augment.copies_per_clip", "augment.mixup_enabled", "augment.rng_seed",
+            "augment.copies_per_clip", "augment.mixup_enabled",
             "model.num_classes", "model.attention_placement", "model.conv_channels",
-            "model.gru_hidden", "model.dropout_p", "model.input_bands", "model.input_frames",
+            "model.gru_hidden", "model.dropout_p",
         ]
-        assert not set(keys) & set(cfg.RETIRED_KEYS)
+        assert not set(keys) & {*cfg.RETIRED_KEYS, *cfg.SEED_COPIES}
 
     # The fixed value is compared after coercion, so other spellings of it parse;
     # the 28-key default dump above checks each key's own spelling.
@@ -169,6 +195,8 @@ model.conv_channels = 2,2,3,3,4,4,5,5
         ("augment.shift_range_semitones = -3.5,3.5", "-2,2.5"),
         ("augment.mixup_alpha = 0.2", "0.4"),
         ("model.rnn_attention_form = mlp", "linear"),
+        ("model.input_bands = 128", "64"),
+        ("model.input_frames = 128", "32"),
     ])
     def test_retired_key_parses_at_its_fixed_value_only(self, line, other):
         key = line.partition(" = ")[0]
@@ -223,20 +251,41 @@ train.batch_size = 16
 train.epochs = 5
 train.lr0 = 0.02
 train.lr_decay_every = 3
-train.seed = 3
 augment.copies_per_clip = 1
 augment.mixup_enabled = false
-augment.rng_seed = 5
 model.num_classes = 10
 model.attention_placement = l2
 model.conv_channels = 2,2,3,3,4,4,5,5
 model.gru_hidden = 8
 model.dropout_p = 0.25
-model.input_bands = 64
-model.input_frames = 32
 """
-EVERY_KEY_DUMP_SHA256 = "faa8fb2a7fc16d1ed3fe11fb4ca5bc384b3156c291dea172688170d49b5fec59"
-DEFAULT_DUMP_SHA256 = "adf17d7b21c70cdc68c576ae758fd577e65ab46fb5e68f3ff14df4f997b64438"
+EVERY_KEY_DUMP_SHA256 = "ca536743e5e55340d46c594b378635ac3bf637624cb0000c38b9b5816d4e6713"
+DEFAULT_DUMP_SHA256 = "2ad12dc61b498a558267e3bd70d635cf7dc8c114c55f9712803eaeaabc50e030"
+# The default manifest text from before run.seed became the one seed and the
+# model input size a fixed value.
+DEFAULT_DUMP_21_KEYS = (
+    "data.meta_csv = \n"
+    "data.audio_dir = \n"
+    "data.cache = \n"
+    "data.variant = esc50\n"
+    "run.out_dir = runs\n"
+    "run.seed = 0\n"
+    "train.batch_size = 64\n"
+    "train.epochs = 300\n"
+    "train.lr0 = 0.01\n"
+    "train.lr_decay_every = 100\n"
+    "train.seed = 0\n"
+    "augment.copies_per_clip = 2\n"
+    "augment.mixup_enabled = True\n"
+    "augment.rng_seed = 0\n"
+    "model.num_classes = 50\n"
+    "model.attention_placement = l10\n"
+    "model.conv_channels = 32,32,64,64,128,128,256,256\n"
+    "model.gru_hidden = 256\n"
+    "model.dropout_p = 0.5\n"
+    "model.input_bands = 128\n"
+    "model.input_frames = 128\n"
+)
 # The default manifest text from before seven protocol values became constants.
 DEFAULT_DUMP_28_KEYS = (
     "data.meta_csv = \n"
@@ -477,7 +526,37 @@ class TestCli:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "cache.lgt").exists()
 
-    # input_bands = 64 parses; only the cache's 128 x 128 segments rule it out
+    def test_seed_flag_sets_the_one_seed(self, tmp_path):
+        config_path = build_audio_tree(tmp_path)
+        config_path.write_text(config_path.read_text() + "augment.copies_per_clip = 1\n")
+        assert cli.main(["extract", "--config", str(config_path), "--seed", "5"]) == 0
+        cache = tmp_path / "cache.lgt"
+        flagged, manifest = cache.read_bytes(), cache.with_name("cache.lgt.manifest")
+        keys = [line.partition(" = ")[0] for line in manifest.read_text().splitlines()]
+        assert "run.seed = 5" in manifest.read_text().splitlines()
+        assert not set(keys) & set(cfg.SEED_COPIES)
+        config_path.write_text(config_path.read_text().replace("run.seed = 3", "run.seed = 5"))
+        assert cli.main(["extract", "--config", str(config_path)]) == 0
+        assert cache.read_bytes() == flagged
+
+    @pytest.mark.parametrize("line", ["model.input_bands = 64", "model.input_frames = 64"])
+    def test_other_input_size_exits_1_before_extracting(self, tmp_path, capsys, line):
+        config_path = build_audio_tree(tmp_path)
+        config_path.write_text(config_path.read_text() + line + "\n")
+        assert cli.main(["extract", "--config", str(config_path)]) == 1
+        key = line.partition(" = ")[0]
+        assert f"{key} is fixed at 128, got '64'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("cache.lgt*"))
+
+    def test_train_on_a_fold_with_no_clip_exits_1(self, tmp_path, capsys):
+        config_path = build_audio_tree(tmp_path)
+        assert cli.main(["extract", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(config_path), "--fold", "9"]) == 1
+        assert capsys.readouterr().err == "error: fold 9 has zero clips\n"
+        assert not (tmp_path / "out").exists()
+
+    # the model input size is fixed by the cache format, so 64 bands fail at parse
     @pytest.mark.parametrize("line", BAD_RUN_SETTINGS + ["model.input_bands = 64"])
     def test_malformed_run_setting_exits_1_before_reading_the_cache(self, tmp_path, capsys, line):
         config_path = tmp_path / "run.cfg"

@@ -56,33 +56,38 @@ class TestSgdNesterovStep:
         return params, w
 
     def test_zero_gradient_zero_velocity_is_noop(self):
-        params, w = self._one_param(1.0, 0.0)
+        # fc.bias is exempt from weight decay, so nothing moves it
+        params, _ = self._one_param(1.0, 0.0)
+        params.tensors["fc.bias"].data[:] = 1.0
         state = tr.OptimizerState.create(params)
-        tr.sgd_nesterov_step(params, state, lr=0.01, momentum=0.9, l2_coeff=0.0)
-        assert w.data.flat[0] == 1.0
+        tr.sgd_nesterov_step(params, state, lr=0.01)
+        assert np.all(params.tensors["fc.bias"].data == 1.0)
 
     def test_weight_decay_hand_value(self):
-        # w=1, g=0, l2=1e-4, lr=0.01, mu=0: w -> 1 - 0.01*1e-4 = 0.999999
+        # w=1, g=0, lr=0.01: g' = 1e-4, v' = -1e-6, w' = 1 - 0.9e-6 - 1e-6 = 0.9999981
         params, w = self._one_param(1.0, 0.0)
         state = tr.OptimizerState.create(params)
-        tr.sgd_nesterov_step(params, state, lr=0.01, momentum=0.0, l2_coeff=1e-4)
-        assert w.data.flat[0] == pytest.approx(0.999999, abs=1e-9)
+        tr.sgd_nesterov_step(params, state, lr=0.01)
+        assert w.data.flat[0] == pytest.approx(0.9999981, abs=1e-7)
 
-    def test_zero_momentum_is_plain_sgd(self):
+    def test_first_step_from_rest_formula(self):
+        # from v = 0: v' = -lr*g', w' = w - (1 + MOMENTUM)*lr*g'
         params, w = self._one_param(2.0, 0.5)
         state = tr.OptimizerState.create(params)
-        tr.sgd_nesterov_step(params, state, lr=0.1, momentum=0.0, l2_coeff=0.0)
-        assert w.data.flat[0] == pytest.approx(2.0 - 0.1 * 0.5, abs=1e-6)
+        tr.sgd_nesterov_step(params, state, lr=0.1)
+        g = 0.5 + tr.L2_COEFF * 2.0
+        assert w.data.flat[0] == pytest.approx(2.0 - (1 + tr.MOMENTUM) * 0.1 * g, abs=1e-6)
 
     def test_lookahead_applied_formula(self):
-        # v' = mu*v - lr*g ; w' = w + mu*v' - lr*g
+        # g' = g + L2_COEFF*w ; v' = MOMENTUM*v - lr*g' ; w' = w + MOMENTUM*v' - lr*g'
         params, w = self._one_param(1.0, 2.0)
         state = tr.OptimizerState.create(params)
         state.velocities["fc.weight"].flat[0] = 0.5
-        tr.sgd_nesterov_step(params, state, lr=0.1, momentum=0.9, l2_coeff=0.0)
-        v_new = 0.9 * 0.5 - 0.1 * 2.0
+        tr.sgd_nesterov_step(params, state, lr=0.1)
+        g = 2.0 + tr.L2_COEFF * 1.0
+        v_new = tr.MOMENTUM * 0.5 - 0.1 * g
         assert state.velocities["fc.weight"].flat[0] == pytest.approx(v_new, abs=1e-6)
-        assert w.data.flat[0] == pytest.approx(1.0 + 0.9 * v_new - 0.1 * 2.0, abs=1e-6)
+        assert w.data.flat[0] == pytest.approx(1.0 + tr.MOMENTUM * v_new - 0.1 * g, abs=1e-6)
 
     def test_weight_decay_skips_biases_and_batch_norm(self):
         params, w = self._one_param(1.0, 0.0)
@@ -90,10 +95,11 @@ class TestSgdNesterovStep:
         for name in exempt:
             params.tensors[name].data[:] = 100.0
         state = tr.OptimizerState.create(params)
-        tr.sgd_nesterov_step(params, state, lr=0.1, momentum=0.0, l2_coeff=1e-2)
+        tr.sgd_nesterov_step(params, state, lr=0.1)
         for name in exempt:
             assert np.all(params.tensors[name].data == 100.0)
-        assert w.data.flat[0] == pytest.approx(1.0 - 0.1 * 1e-2, abs=1e-7)
+        assert w.data.flat[0] == pytest.approx(1.0 - (1 + tr.MOMENTUM) * 0.1 * tr.L2_COEFF,
+                                               abs=1e-7)
 
     def test_missing_gradient_raises(self):
         params = acrnn.build(tiny_model_config(), seed=0)
