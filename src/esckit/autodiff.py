@@ -23,13 +23,16 @@ are one graph node each (``conv_block``), and so is each GRU direction and
 the loss, all with closed-form backward passes, so a step's graph does not
 grow with the sequence length. A train-mode block keeps only the conv's
 padded input, its padded output grid (overwritten in place by the normalized
-x_hat) and its own (pooled) output with a uint8 window code per cell; an
-infer-mode block keeps nothing. Backward reuses what the block kept: the
-output gradient rows overwrite the x_hat grid and the input gradient the
-padded input, so a step's backward allocates no full-resolution map that
-its forward left. ``conv2d`` also serves the CNN attention's
-scoring conv; ``batchnorm``, ``relu`` and ``maxpool2d`` are the references
-that the block is tested against, and no train or infer step calls them.
+x_hat) and its own output, which holds no pad lane, pooled with a uint8
+window code per cell where the block pools; an infer-mode block keeps
+nothing. A pooled block maps and pools a chunk of examples at a time, so no
+block's forward builds a whole-map temporary. Backward reuses what the
+block kept: the output gradient rows overwrite the x_hat grid and the input
+gradient the padded input, so a step's backward allocates no
+full-resolution map that its forward left. ``conv2d`` also serves the CNN
+attention's scoring conv; ``batchnorm``, ``relu`` and ``maxpool2d`` are the
+references that the block is tested against, and no train or infer step
+calls them.
 """
 
 from __future__ import annotations
@@ -382,6 +385,9 @@ def softmax(x):
 # Bytes of input plus output super-rows that one block of GEMMs works on: the
 # block stays in cache across the kernel's GEMMs.
 _BLOCK_BYTES = 1 << 18
+# Bytes of whole-row map that a conv block's chunked passes cover at a time,
+# rounded down to whole examples (one at least).
+_CHUNK_BYTES = 1 << 20
 
 
 def _super_rows(rows, start, s, count):
@@ -694,16 +700,17 @@ def _pool_lanes(z, window, c):
     r*wt + k of each window's first maximum in row-major window order (the
     position ``maxpool2d``'s argmax picks).
 
-    The window rows are pooled on full lanes, keeping the first maximal row r
-    per column by arithmetic. The columns are then pooled on a channel-major
-    copy of the row maxima, and among the columns that reach the peak the
-    smallest code wins, which is the first maximum in row-major order.
+    The window rows are pooled on full lanes, into each window's first row of
+    z, keeping the first maximal row r per column by arithmetic. The columns
+    are then pooled on a channel-major copy of the row maxima, and among the
+    columns that reach the peak the smallest code wins, which is the first
+    maximum in row-major order.
     """
     n, f, lanes = z.shape
     wf, wt = window
     of, ot = f // wf, lanes // (c * wt)
     z = z[:, :of * wf].reshape(n, of, wf, lanes)[..., :ot * wt * c]
-    best = z[:, :, 0].copy()
+    best = z[:, :, 0]
     row = np.zeros(best.shape, dtype=np.uint8)
     for r in range(1, wf):
         v = z[:, :, r]
@@ -743,23 +750,24 @@ def conv_block(x, kernel, bn_state, mode, window=None):
     up to summation order, with the same running-statistics update. The
     conv's padded output grid is read as (N, F, Tp*C) whole rows: the T*C
     lanes of the "same" output, then (kt-1)*C pad lanes holding the finite
-    correlation at padded columns. The elementwise passes run on whole rows,
-    one numpy loop per example rather than one per row: centring and scaling
-    x_hat over the conv output, the affine map into one fresh map (in place
-    over x_hat for an infer-mode pooled block, which keeps nothing) and a
-    non-pooled block's ReLU over that map, of which y is the T*C-lane view.
-    The batch-norm statistics, the pooling and backward's reductions read
-    the T*C-lane views, so no pad lane enters a statistic, an output or a
-    gradient. Max commutes with the monotone ReLU, so a pooled block's ReLU
-    runs on the pooled map. Train-mode backward keeps the padded input rows,
-    the grid holding x_hat and the output with a uint8 window code per
-    pooled cell. The grid sits inside a buffer shaped as the conv's gradient
-    rows; backward reads x_hat, writes the batch-norm input gradient over it
-    on whole rows (a non-pooled block first lays its masked output gradient
-    out on whole rows with zero pad lanes), then zeroes the buffer around the
-    output block, pad lanes included, and the conv's input gradient goes
-    over the padded input rows (see ``conv2d``). Infer mode is forward-only:
-    no graph inputs, nothing kept.
+    correlation at padded columns. Centring and scaling x_hat run on whole
+    rows. A non-pooled block writes its affine map and ReLU on y's own T*C
+    lanes, so y keeps no pad lane alive. A pooled block maps and pools a
+    chunk of examples at a time (``_CHUNK_BYTES`` of whole rows; no window
+    crosses an example) in one reused buffer, so no whole-row map or pooling
+    copy of the whole batch exists; max commutes with the monotone ReLU, so
+    its ReLU runs on the pooled map. The batch-norm statistics, the pooling
+    and backward's reductions read the T*C-lane views, so no pad lane enters
+    a statistic, an output or a gradient. Train-mode backward keeps the
+    padded input rows, the grid holding x_hat and the output with a uint8
+    window code per pooled cell. The grid sits inside a buffer shaped as the
+    conv's gradient rows; backward reads x_hat, writes the batch-norm input
+    gradient over it on whole rows (a non-pooled block first lays its output
+    gradient, masked a chunk of examples at a time, out on whole rows with
+    zero pad lanes), then zeroes the buffer around the output block, pad
+    lanes included, and the conv's input gradient goes over the padded input
+    rows (see ``conv2d``). Infer mode is forward-only: no graph inputs,
+    nothing kept.
     """
     x, kernel, layout = _conv_operands("conv_block", x, kernel)
     gamma, beta = bn_state.gamma, bn_state.beta
@@ -794,29 +802,42 @@ def conv_block(x, kernel, bn_state, mode, window=None):
         raise ValueError(f"unknown batchnorm mode {mode!r}")
     inv = 1.0 / np.sqrt(var + BN_EPSILON)
     full *= tile(inv)
-    # Infer mode keeps nothing, so a pooled block's affine map overwrites
-    # x_hat; a non-pooled one writes a fresh map, as y, its view, would
-    # otherwise keep the grid alive.
-    z = np.multiply(full, tile(gamma.data), out=full if mode == "infer" and window else None)
-    z += tile(beta.data)
+    chunk = max(1, _CHUNK_BYTES // full[0].nbytes)
     if window is None:
-        relu = np.maximum(z, 0.0, out=z)
-        y = relu[:, :, :lanes].reshape(n, f, t, c)
+        # On y's own T*C lanes, so that y keeps no pad lane alive.
+        y = np.empty((n, f, t, c), dtype=full.dtype)
+        z = y.reshape(n, f, lanes)
+        np.multiply(xhat, np.tile(gamma.data, t), out=z)
+        z += np.tile(beta.data, t)
+        np.maximum(z, 0.0, out=z)
     else:
-        peak, code = _pool_lanes(z[:, :, :lanes], window, c)
-        y = np.empty((n, peak.shape[1], peak.shape[3], c), dtype=peak.dtype)
-        np.maximum(peak.transpose(0, 1, 3, 2), 0.0, out=y)
+        wf, wt = window
+        y = np.empty((n, f // wf, t // wt, c), dtype=full.dtype)
+        code = np.empty((n, f // wf, c, t // wt), dtype=np.uint8)
+        scale, shift = tile(gamma.data), tile(beta.data)
+        # Pooling windows never cross examples: map and pool a chunk of them
+        # at a time, in one reused whole-row buffer.
+        z = np.empty((min(chunk, n),) + full.shape[1:], dtype=full.dtype)
+        for lo in range(0, n, chunk):
+            rows = full[lo:lo + chunk]
+            part = np.multiply(rows, scale, out=z[:len(rows)])
+            part += shift
+            peak, code[lo:lo + chunk] = _pool_lanes(part[:, :, :lanes], window, c)
+            np.maximum(peak.transpose(0, 1, 3, 2), 0.0, out=y[lo:lo + chunk])
     out = _node(y, (x, kernel, gamma, beta) if mode == "train" else (), "conv_block")
 
     if out.requires_grad:
         def backward(g):
             if window is None:
-                # g * (y > 0) on whole rows, zero in the pad lanes.
+                # g * (y > 0) on whole rows, zero in the pad lanes, masked a
+                # chunk of examples at a time.
                 gfull = np.empty(full.shape, full.dtype)
                 gfull[:, :, lanes:] = 0.0
-                gfull[:, :, :lanes].reshape(g.shape)[...] = g
-                gfull *= relu > 0.0
                 gy, hat = gfull[:, :, :lanes], xhat
+                masked = gy.reshape(g.shape)
+                for lo in range(0, n, chunk):
+                    part = slice(lo, lo + chunk)
+                    np.multiply(g[part], y[part] > 0.0, out=masked[part])
             else:
                 gy = (g * (y > 0.0)).reshape(n, g.shape[1], -1)
                 # x_hat's flat grid positions; the gradient rows' are lead*c on.

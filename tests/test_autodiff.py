@@ -658,6 +658,72 @@ def test_every_fresh_buffer_is_written_in_full(monkeypatch):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("window", sorted(POOLS.values()) + [None])
+def test_chunks_of_examples_give_the_whole_batch_bits(monkeypatch, window, mode):
+    # A pooled block maps and pools, and a non-pooled backward masks its
+    # output gradient, a chunk of examples at a time. Chunks of one example
+    # and of two (five examples: a partial last chunk) must give the bits of
+    # one whole-batch chunk, with every fresh buffer poisoned so that a cell
+    # no chunk writes shows.
+    rng = np.random.default_rng(34)
+    arrays = (rng.standard_normal((5, 9, 11, 2)), 0.5 * rng.standard_normal((3, 5, 2, 3)),
+              np.array([1.2, -0.7, 0.4]), rng.standard_normal(3))
+    stats = 0.2 * rng.standard_normal(3), 0.5 + rng.uniform(size=3)
+    example = 9 * (11 + 4) * 3 * 8  # one example's whole output rows, float64
+    monkeypatch.setattr(ad, "_CHUNK_BYTES", 5 * example)
+    whole = _conv_block_run(True, arrays, stats, mode, window)
+    monkeypatch.setattr(np, "empty", _poisoned(np.empty))
+    for budget in (example, 2 * example):
+        monkeypatch.setattr(ad, "_CHUNK_BYTES", budget)
+        chunked = _conv_block_run(True, arrays, stats, mode, window)
+        for want, got in zip(whole, chunked, strict=True):
+            assert (got is None) == (want is None)
+            assert got is None or got.tobytes() == want.tobytes()
+
+
+def _desk_block(block, window):
+    """A train-mode conv block with block's kernel from (64, 128, 128, 2) to
+    4 channels, and the bytes of its (n, f, (t+kt-1)*c) whole-row map."""
+    rng = np.random.default_rng(35)
+    kernel_shape = CONV_KERNELS[block - 1] + (2, 4)
+    x = t(rng.standard_normal((64, 128, 128, 2)), requires_grad=True)
+    k = t(0.3 * rng.standard_normal(kernel_shape), requires_grad=True)
+    whole = 64 * 128 * (128 + kernel_shape[1] - 1) * 4 * 4
+    return lambda: ad.conv_block(x, k, BatchNormState.create(4), "train", window), whole
+
+
+@pytest.mark.parametrize("block", sorted(POOLS))
+def test_pooled_forward_builds_no_whole_map_temporary(block):
+    # Beyond what the block keeps, its forward holds one chunk of examples'
+    # affine map and pooling copies at a time.
+    run, whole = _desk_block(block, POOLS[block])
+    tracemalloc.start()
+    try:
+        out = run()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert peak - kept < 0.2 * whole
+
+
+def test_non_pooled_backward_builds_no_whole_map_mask():
+    # Beyond the gradient rows it must allocate, the block's backward masks
+    # its output gradient a chunk of examples at a time.
+    run, whole = _desk_block(1, None)
+    loss = ad.tensor_sum(run())
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out_bytes = loss._prev[0].data.nbytes
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start - out_bytes - whole < 0.1 * whole
+
+
 def test_grad_never_aliases_the_array_first_accumulated(monkeypatch):
     firsts = []
     accumulate = Tensor._accumulate
