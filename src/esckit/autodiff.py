@@ -385,7 +385,7 @@ def softmax(x):
 # Bytes of input plus output super-rows that one block of GEMMs works on: the
 # block stays in cache across the kernel's GEMMs.
 _BLOCK_BYTES = 1 << 18
-# Bytes of whole-row map that a conv block's chunked passes cover at a time,
+# Bytes of whole-row map that a pooled conv block maps and pools at a time,
 # rounded down to whole examples (one at least).
 _CHUNK_BYTES = 1 << 20
 
@@ -750,24 +750,25 @@ def conv_block(x, kernel, bn_state, mode, window=None):
     up to summation order, with the same running-statistics update. The
     conv's padded output grid is read as (N, F, Tp*C) whole rows: the T*C
     lanes of the "same" output, then (kt-1)*C pad lanes holding the finite
-    correlation at padded columns. Centring and scaling x_hat run on whole
-    rows. A non-pooled block writes its affine map and ReLU on y's own T*C
-    lanes, so y keeps no pad lane alive. A pooled block maps and pools a
-    chunk of examples at a time (``_CHUNK_BYTES`` of whole rows; no window
-    crosses an example) in one reused buffer, so no whole-row map or pooling
-    copy of the whole batch exists; max commutes with the monotone ReLU, so
-    its ReLU runs on the pooled map. The batch-norm statistics, the pooling
-    and backward's reductions read the T*C-lane views, so no pad lane enters
-    a statistic, an output or a gradient. Train-mode backward keeps the
-    padded input rows, the grid holding x_hat and the output with a uint8
-    window code per pooled cell. The grid sits inside a buffer shaped as the
-    conv's gradient rows; backward reads x_hat, writes the batch-norm input
-    gradient over it on whole rows (a non-pooled block first lays its output
-    gradient, masked a chunk of examples at a time, out on whole rows with
-    zero pad lanes), then zeroes the buffer around the output block, pad
-    lanes included, and the conv's input gradient goes over the padded input
-    rows (see ``conv2d``). Infer mode is forward-only: no graph inputs,
-    nothing kept.
+    correlation at padded columns. Per-channel passes tile their vector
+    across each example's contiguous lanes, one numpy loop per example.
+    Centring and scaling x_hat run on whole rows. A non-pooled block writes
+    its affine map and ReLU on y's own T*C lanes, so y keeps no pad lane
+    alive. A pooled block maps and pools a chunk of examples at a time
+    (``_CHUNK_BYTES`` of whole rows; no window crosses an example) in one
+    reused buffer, so no whole-row map or pooling copy of the whole batch
+    exists; max commutes with the monotone ReLU, so its ReLU runs on the
+    pooled map. The batch-norm statistics, the pooling and backward's
+    reductions read the T*C-lane views, so no pad lane enters a statistic,
+    an output or a gradient. Train-mode backward keeps the padded input
+    rows, the grid holding x_hat and the output with a uint8 window code per
+    pooled cell. The grid sits inside a buffer shaped as the conv's gradient
+    rows. Backward masks the output gradient into a y-shaped array, writes
+    the batch-norm input gradient over x_hat on whole rows, adds the masked
+    gradient, scaled, onto x_hat's T*C lanes (pooled: its window maxima),
+    zeroes the buffer around the output block, pad lanes included, and the
+    conv's input gradient goes over the padded input rows (see ``conv2d``).
+    Infer mode is forward-only: no graph inputs, nothing kept.
     """
     x, kernel, layout = _conv_operands("conv_block", x, kernel)
     gamma, beta = bn_state.gamma, bn_state.beta
@@ -779,8 +780,12 @@ def conv_block(x, kernel, bn_state, mode, window=None):
         raise ShapeError(f"conv_block: window {window} larger than input ({f},{t})")
     lanes, m = t * c, n * f * t
 
-    def tile(v):
-        return np.tile(v, layout.tp)
+    def per_channel(op, a, v):
+        # a = op(a, v), v tiled across each example's lanes: one numpy loop
+        # per example, not one per grid row. Each example of a is contiguous,
+        # so the reshape is a view.
+        rows = a.reshape(n, -1)
+        op(rows, np.tile(v, rows.shape[1] // c), out=rows)
 
     def channel_sum(lane_sums):
         return lane_sums.reshape(-1, c).sum(axis=0)
@@ -792,61 +797,56 @@ def conv_block(x, kernel, bn_state, mode, window=None):
     xhat = full[:, :, :lanes]
     if mode == "train":
         mu = channel_sum(np.einsum("nfl->l", xhat)) / m
-        full -= tile(mu)
+        per_channel(np.subtract, full, mu)
         var = channel_sum(np.einsum("nfl,nfl->l", xhat, xhat)) / m
         _fold_running_stats(bn_state, mu, var)
     elif mode == "infer":
-        full -= tile(bn_state.running_mean.astype(full.dtype))
+        per_channel(np.subtract, full, bn_state.running_mean.astype(full.dtype))
         var = bn_state.running_var.astype(full.dtype)
     else:
         raise ValueError(f"unknown batchnorm mode {mode!r}")
     inv = 1.0 / np.sqrt(var + BN_EPSILON)
-    full *= tile(inv)
-    chunk = max(1, _CHUNK_BYTES // full[0].nbytes)
+    per_channel(np.multiply, full, inv)
     if window is None:
         # On y's own T*C lanes, so that y keeps no pad lane alive.
         y = np.empty((n, f, t, c), dtype=full.dtype)
-        z = y.reshape(n, f, lanes)
-        np.multiply(xhat, np.tile(gamma.data, t), out=z)
-        z += np.tile(beta.data, t)
-        np.maximum(z, 0.0, out=z)
+        np.multiply(xhat, np.tile(gamma.data, t), out=y.reshape(n, f, lanes))
+        per_channel(np.add, y, beta.data)
+        np.maximum(y, 0.0, out=y)
     else:
         wf, wt = window
         y = np.empty((n, f // wf, t // wt, c), dtype=full.dtype)
         code = np.empty((n, f // wf, c, t // wt), dtype=np.uint8)
-        scale, shift = tile(gamma.data), tile(beta.data)
+        rows = full.reshape(n, -1)
+        scale, shift = (np.tile(v, f * layout.tp) for v in (gamma.data, beta.data))
         # Pooling windows never cross examples: map and pool a chunk of them
         # at a time, in one reused whole-row buffer.
+        chunk = max(1, _CHUNK_BYTES // full[0].nbytes)
         z = np.empty((min(chunk, n),) + full.shape[1:], dtype=full.dtype)
         for lo in range(0, n, chunk):
-            rows = full[lo:lo + chunk]
-            part = np.multiply(rows, scale, out=z[:len(rows)])
+            src = rows[lo:lo + chunk]
+            part = np.multiply(src, scale, out=z[:len(src)].reshape(len(src), -1))
             part += shift
-            peak, code[lo:lo + chunk] = _pool_lanes(part[:, :, :lanes], window, c)
+            peak, code[lo:lo + chunk] = _pool_lanes(z[:len(src), :, :lanes], window, c)
             np.maximum(peak.transpose(0, 1, 3, 2), 0.0, out=y[lo:lo + chunk])
     out = _node(y, (x, kernel, gamma, beta) if mode == "train" else (), "conv_block")
 
     if out.requires_grad:
         def backward(g):
+            # g * (y > 0) in one contiguous y-shaped array: the mask, then g.
+            gy = np.greater(y, 0.0, out=np.empty(y.shape, y.dtype))
+            gy *= g
+            g3 = gy.reshape(n, gy.shape[1], -1)
             if window is None:
-                # g * (y > 0) on whole rows, zero in the pad lanes, masked a
-                # chunk of examples at a time.
-                gfull = np.empty(full.shape, full.dtype)
-                gfull[:, :, lanes:] = 0.0
-                gy, hat = gfull[:, :, :lanes], xhat
-                masked = gy.reshape(g.shape)
-                for lo in range(0, n, chunk):
-                    part = slice(lo, lo + chunk)
-                    np.multiply(g[part], y[part] > 0.0, out=masked[part])
+                hat = xhat
             else:
-                gy = (g * (y > 0.0)).reshape(n, g.shape[1], -1)
                 # x_hat's flat grid positions; the gradient rows' are lead*c on.
                 pos = _window_positions(code, window, grid.shape)
-                hat = grid.reshape(-1)[pos].reshape(gy.shape)
+                hat = grid.reshape(-1)[pos].reshape(g3.shape)
             # Row sums into lanes first, so that each float32 sum runs over
             # few terms.
-            gsum = channel_sum(np.einsum("nfl->l", gy))
-            gdot = channel_sum(np.einsum("nfl,nfl->l", gy, hat))
+            gsum = channel_sum(np.einsum("nfl->l", g3))
+            gdot = channel_sum(np.einsum("nfl,nfl->l", g3, hat))
             scale = gamma.data * inv
             if gamma.requires_grad:
                 gamma._accumulate(gdot)
@@ -854,13 +854,12 @@ def conv_block(x, kernel, bn_state, mode, window=None):
                 beta._accumulate(gsum)
             # The gradient rows are the grid's buffer: the batch-norm input
             # gradient overwrites x_hat.
-            np.multiply(full, tile(-scale * gdot / m), out=full)
-            np.add(full, tile(-scale * gsum / m), out=full)
+            per_channel(np.multiply, full, -scale * gdot / m)
+            per_channel(np.add, full, -scale * gsum / m)
+            per_channel(np.multiply, gy, scale)
             if window is None:
-                gfull *= tile(scale)
-                np.add(full, gfull, out=full)
+                np.add(xhat, g3, out=xhat)
             else:
-                gy *= np.tile(scale, gy.shape[2] // c)
                 grows.reshape(-1)[layout.lead * c:][pos] += gy.reshape(pos.shape)
             layout._frame(grows, layout.lead, 0, 0)
             layout.backward(x, kernel, xrows, grows)

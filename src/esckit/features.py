@@ -220,16 +220,17 @@ def compute_norm_stats(segments):
 
 def normalize(values, stats):
     """Standardize (..., frames, channels) values per channel: (x - mean_c) / std_c
-    in float32, for one segment or a batch.
+    in float32, for one segment or a batch, one numpy loop per segment.
 
     ``values`` is one array or a sequence of equal-shape segment arrays, which
     are stacked into the new array that is normalized in place and returned;
     the caller's arrays are never written.
     """
     out = np.array(values)
-    rows, frames = _lanes(out)
-    rows -= np.tile(stats.mean.astype(np.float32), frames)
-    rows /= np.tile(stats.std.astype(np.float32), frames)
+    rows = out.reshape(-1, np.prod(out.shape[-3:], dtype=int))
+    cells = rows.shape[1] // out.shape[-1]
+    rows -= np.tile(stats.mean.astype(np.float32), cells)
+    rows /= np.tile(stats.std.astype(np.float32), cells)
     return out.astype(np.float32, copy=False)
 
 

@@ -682,6 +682,37 @@ def test_chunks_of_examples_give_the_whole_batch_bits(monkeypatch, window, mode)
             assert got is None or got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("window", [(4, 3), None])
+def test_strided_output_gradient_gives_the_contiguous_bits(window):
+    # A following conv hands its input gradient over as the interior of its
+    # padded (N, F+2, T+4, C) input rows, a strided view. The block must give
+    # the bits of the same gradient passed contiguous; a reshape of the view
+    # would silently copy it, and a write through that copy would be lost.
+    rng = np.random.default_rng(36)
+    arrays = [a.astype(np.float32) for a in (
+        rng.standard_normal((3, 12, 12, 2)), 0.5 * rng.standard_normal((3, 5, 2, 3)),
+        1.0 + 0.5 * rng.standard_normal(3), rng.standard_normal(3))]
+
+    def grads(strided):
+        x, k, gamma, beta = (Tensor(a, requires_grad=True) for a in arrays)
+        state = BatchNormState(gamma=gamma, beta=beta, running_mean=np.zeros(3, np.float32),
+                               running_var=np.ones(3, np.float32))
+        out = ad.conv_block(x, k, state, "train", window)
+        g = np.random.default_rng(37).standard_normal(out.shape).astype(np.float32)
+        if strided:
+            n, f, t, c = out.shape
+            padded = np.full((n, f + 2, t + 4, c), np.nan, np.float32)
+            padded[:, 1:f + 1, 2:t + 2] = g
+            g = padded[:, 1:f + 1, 2:t + 2]
+            assert not g.flags.c_contiguous
+        out._backward(g)
+        return [x.grad, k.grad, gamma.grad, beta.grad]
+
+    for name, want, got in zip(("x", "kernel", "gamma", "beta"), grads(False), grads(True),
+                               strict=True):
+        assert got.dtype == want.dtype == np.float32 and got.tobytes() == want.tobytes(), name
+
+
 def _desk_block(block, window):
     """A train-mode conv block with block's kernel from (64, 128, 128, 2) to
     4 channels, and the bytes of its (n, f, (t+kt-1)*c) whole-row map."""
